@@ -6,6 +6,7 @@ no probabilistic answers below 2**64.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -71,6 +72,33 @@ def sieve_primes(bound: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return [i for i in range(bound + 1) if flags[i]]
+
+
+def iter_primes(bound: int, segment: int = 1 << 15):
+    """Primes <= bound in increasing order, by a segmented sieve of
+    Eratosthenes over windows of `segment` integers.
+
+    Lazy: a caller that stops at q pays for the windows up to q and the
+    base primes up to sqrt(bound), not for a sieve of the whole range.
+    """
+    if segment < 1:
+        raise ValueError(f"segment must be positive, got {segment}")
+    if bound < 2:
+        return
+    base = sieve_primes(math.isqrt(bound))
+    lo = 0
+    while lo <= bound:
+        hi = min(lo + segment, bound + 1)  # the window is [lo, hi)
+        flags = bytearray([1]) * (hi - lo)
+        for x in range(lo, min(hi, 2)):
+            flags[x - lo] = 0
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+        yield from itertools.compress(range(lo, hi), flags)
+        lo = hi
 
 
 def _pollard_rho(n: int) -> int:

@@ -26,6 +26,8 @@ condition is starving the scan.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from concurrent import futures
 from dataclasses import dataclass
@@ -246,13 +248,12 @@ def find_prime(
     cg = class_group(L)
     target = _require_p_sylow(cg, p, target_class)
 
-    primes = arith.sieve_primes(q_bound)
     if jobs > 1:
-        return _find_prime_blocks(L, p, n, target, spec, q_bound, primes, jobs)
+        return _find_prime_blocks(L, p, n, target, spec, q_bound, jobs)
 
     stats = {name: 0 for name in _COND_NAMES}
     scanned = 0
-    for q in primes:
+    for q in arith.iter_primes(q_bound):
         if (2 * p * L.disc) % q == 0:
             stats["cond1"] += 1
             continue
@@ -287,26 +288,30 @@ def _scan_block(d, p, n, target, phi_scale, primes):
     return None, stats, scanned
 
 
-def _find_prime_blocks(L, p, n, target, spec, q_bound, primes, jobs):
-    block = 4000
-    blocks = [primes[i : i + block] for i in range(0, len(primes), block)]
+def _find_prime_blocks(L, p, n, target, spec, q_bound, jobs):
+    # blocks are cut from the lazy prime stream and kept 2 * jobs deep in
+    # flight; results are consumed in order, so the first hit is minimal
+    primes = arith.iter_primes(q_bound)
+    blocks = iter(lambda: list(itertools.islice(primes, 4000)), [])
     stats = {name: 0 for name in _COND_NAMES}
     scanned = 0
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        submitted = [
-            pool.submit(_scan_block, L.d, p, n, target, spec.phi_scale, blk)
-            for blk in blocks
-        ]
+
+        def submit(blk):
+            return pool.submit(_scan_block, L.d, p, n, target, spec.phi_scale, blk)
+
+        pending = collections.deque(map(submit, itertools.islice(blocks, 2 * jobs)))
         try:
-            for fut in submitted:
-                hit, block_stats, block_scanned = fut.result()
+            while pending:
+                hit, block_stats, block_scanned = pending.popleft().result()
                 scanned += block_scanned
                 for name in _COND_NAMES:
                     stats[name] += block_stats[name]
                 if hit is not None:
                     return hit
+                pending.extend(map(submit, itertools.islice(blocks, 1)))
         finally:
-            for fut in submitted:
+            for fut in pending:
                 fut.cancel()
     return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
 
@@ -353,7 +358,7 @@ def find_auxiliary_prime(
 
     stats = {"cond1": 0, "split": 0, "congruence": 0, "class": 0}
     scanned = 0
-    for q in arith.sieve_primes(q_bound):
+    for q in arith.iter_primes(q_bound):
         if (2 * p * L.disc) % q == 0:
             stats["cond1"] += 1
             continue

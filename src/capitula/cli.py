@@ -23,6 +23,7 @@ from dataclasses import asdict
 import click
 
 from . import __version__
+from .arith import is_prime, is_squarefree, kronecker
 from .bounds import herbrand_report, required_n
 from .chebotarev import (
     ExhaustedSearch,
@@ -42,9 +43,21 @@ from .compositum import (
 )
 from .cyclotomic import make_subfield, poly_str, verify_subfield
 from .errors import ConsistencyError
-from .quadfield import class_group, is_principal, make_field, prime_ideal_above
+from .quadfield import (
+    DESK_DISC_BOUND,
+    class_group,
+    is_principal,
+    make_field,
+    prime_ideal_above,
+)
 
 DEFAULT_Q_BOUND = 10**6
+
+# Ceilings of re-verification.  A record above them is refused before
+# anything is built, which bounds the cost of reverify_record on any
+# input: the subfield is built in O(q) steps, and M has degree 2 p^n.
+REVERIFY_Q_MAX = 10**6
+REVERIFY_DEGREE_MAX = 27
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +174,11 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     timings = {}
     t0 = time.perf_counter()
     spec = LambdaSpec(p, n, phi_scale)
+    if spec.modulus > REVERIFY_DEGREE_MAX:
+        raise ValueError(
+            f"p^n = {spec.modulus} is above {REVERIFY_DEGREE_MAX}, the largest "
+            "degree whose records can be re-verified"
+        )
     L = make_field(d)
     cg = class_group(L)
     timings["classgroup"] = _now_ms(t0)
@@ -213,6 +231,11 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     record.update(_candidate_payload(cand))
     if not cand.passed:
         return record, "failed"
+    if cand.q > REVERIFY_Q_MAX:
+        raise ValueError(
+            f"q = {cand.q} is above {REVERIFY_Q_MAX}, the largest conductor "
+            "whose records can be re-verified"
+        )
 
     t0 = time.perf_counter()
     F = make_subfield(cand.q, p**n)
@@ -263,12 +286,63 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     return record, "ok"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _well_formed(record) -> bool:
+    """Shape and range checks of reverify_record, made before anything
+    is built: cheap, and bounded on any JSON value."""
+    if not isinstance(record, dict):
+        return False
+    cert = record.get("certificate")
+    if not (
+        isinstance(cert, dict)
+        and _is_int_list(cert.get("alpha"))
+        and _is_int_list(cert.get("containment"))
+        and _is_int(cert.get("norm_alpha"))
+        and _is_int(cert.get("ideal_norm"))
+        and all(_is_int(record.get(k)) for k in ("d", "p", "n", "q", "ideal_norm"))
+        and isinstance(record.get("ideal_hnf"), list)
+    ):
+        return False
+    d, p, n, q = record["d"], record["p"], record["n"], record["q"]
+    disc = d if d % 4 == 1 else 4 * d
+    if not (2 <= d and disc <= DESK_DISC_BOUND and is_squarefree(d)):
+        return False
+    if not (3 <= p <= REVERIFY_DEGREE_MAX and is_prime(p)):
+        return False
+    # p >= 3, so p^n <= REVERIFY_DEGREE_MAX already bounds n by its bit length
+    if not (1 <= n <= REVERIFY_DEGREE_MAX.bit_length() and p**n <= REVERIFY_DEGREE_MAX):
+        return False
+    return (
+        2 < q <= REVERIFY_Q_MAX
+        and is_prime(q)
+        and (q - 1) % p**n == 0
+        and kronecker(disc, q) == 1
+    )
+
+
 def reverify_record(record) -> bool:
     """Rebuild everything a certificate-bearing record references and
-    re-run the exact verifier.  Needs nothing but the record."""
-    cert = record.get("certificate")
-    if not cert:
+    re-run the exact verifier.  Needs nothing but the record.
+
+    Total: any value, including a malformed or hostile one, gets a
+    verdict and never an exception.  A record is refused (False) unless
+    it is a JSON object carrying integer d, p, n, q and ideal_norm, a
+    list ideal_hnf and a certificate with integer lists alpha and
+    containment and integers norm_alpha and ideal_norm, with d >= 2
+    squarefree and disc(d) <= DESK_DISC_BOUND, p an odd prime and
+    p^n <= REVERIFY_DEGREE_MAX (27), and q a prime <= REVERIFY_Q_MAX
+    (10**6) with q = 1 (mod p^n) that splits in Q(sqrt(d)).
+    """
+    if not _well_formed(record):
         return False
+    cert = record["certificate"]
     L = make_field(record["d"])
     F = make_subfield(record["q"], record["p"] ** record["n"])
     order = build_compositum(L, F)

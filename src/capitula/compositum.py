@@ -11,30 +11,36 @@ form: Tr_M(w_a eta_i . w_b eta_j) factors through Tr_L x Tr_F.
 The generator search is lattice business.  An ideal of L extended to
 M is a full-rank sublattice in Hermite normal form; its Gram matrix
 under the trace form (the T2 quadratic form, totally real field) is
-reduced by exact-arithmetic LLL and short vectors are enumerated in
-growing T2 radius.  Every candidate is judged purely in integers: the
-norm is a Bareiss determinant of the multiplication matrix, and the
-containment witness is re-derived by back-substitution against the
-HNF rows.  Floating-point embeddings (carried with a tracked error
-radius) only steer the search, pre-screening candidates by approximate
-norm; nothing committed depends on them.
+reduced by all-integer LLL and short vectors are enumerated in growing
+T2 radius, both driven by the same integral Gram-Schmidt data.  Every
+candidate is judged purely in integers: the norm is a Bareiss
+determinant of the multiplication matrix, and the containment witness
+is re-derived by back-substitution against the HNF rows.
+Floating-point embeddings only steer the search: a band on the
+approximate norm pre-screens candidates, and a float lower bound on
+that norm lets whole leaf rows of the walk be counted unscanned.  Both
+are advisory, carry no proven error bound, and can cost a candidate
+but never a wrong answer; nothing committed depends on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import isqrt
 
 import mpmath
 
 from .cyclotomic import CyclotomicSubfield
 from .errors import ConsistencyError
-from .linalg import det_bareiss, hnf_rows, lll_reduce_gram
+from .linalg import det_bareiss, gram_schmidt_int, hnf_rows, lll_reduce_gram
 from .quadfield import QuadIdeal, QuadraticField
 
 DEFAULT_EMBED_PREC = 96
+
+# relative margin by which a leaf row's float lower bound on |N(y)| must
+# clear the band before the row is counted unscanned
+ROW_SKIP_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -299,14 +305,27 @@ class PrincipalityCertificate:
 
 
 @dataclass(frozen=True)
+class EnumerationRound:
+    """One radius of the doubling schedule: vectors walked, vectors kept
+    by the norm band, and leaf rows the row bound counted unscanned."""
+
+    radius_sq: int
+    visited: int
+    kept: int
+    rows_skipped: int
+
+
+@dataclass(frozen=True)
 class NotFound:
     """Enumeration exhausted without an exact-norm hit.  Inconclusive:
-    generators need not be short."""
+    generators need not be short.  rounds has one entry per radius
+    walked; enumerated is the sum of their visited counts."""
 
     max_radius_sq: int
     doublings_used: int
     enumerated: int
     capped: bool = False
+    rounds: tuple = ()
 
 
 def _iroot(x: int, k: int) -> int:
@@ -328,130 +347,112 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _ldl_pairs(gram):
-    """G = L D L^t data for the integer descent: the pivots as
-    (num, den) pairs and the strictly-lower mu columns scaled to
-    integers by one denominator per column.  Exact throughout;
-    positive-definiteness is asserted along the way."""
-    n = len(gram)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for i in range(n):
-        d = Fraction(gram[i][i])
-        for k in range(i):
-            d -= diag[k] * mu[i][k] * mu[i][k]
-        if d <= 0:
-            raise ConsistencyError("trace form is not positive definite")
-        diag[i] = d
-        for j in range(i + 1, n):
-            v = Fraction(gram[j][i])
-            for k in range(i):
-                v -= diag[k] * mu[i][k] * mu[j][k]
-            mu[j][i] = v / d
-    dpairs = [(f.numerator, f.denominator) for f in diag]
-    coldens = []
-    mucols = []
-    for i in range(n):
-        m = 1
-        for j in range(i + 1, n):
-            m = m * mu[j][i].denominator // math.gcd(m, mu[j][i].denominator)
-        coldens.append(m)
-        mucols.append([int(mu[j][i] * m) for j in range(i + 1, n)])
-    return dpairs, coldens, mucols
-
-
-def _enumerate_short(gram, radius_sq, cap, filt=None):
+def _enumerate_short(gram, radius_sq, cap, filt):
     """Nonzero integer vectors y with y G y^t <= radius_sq, by
-    Fincke-Pohst depth-first descent.  Exact: every per-coordinate
-    interval comes from integer square roots, never floats, so the
-    walk provably covers the ball (up to the visit cap).
+    Fincke-Pohst depth-first descent.  Exact: the quadratic form is
+    split as sum_i z_i^2 / (d_i d_{i+1}) with the integral
+    Gram-Schmidt data of `gram_schmidt_int`, the remaining budget is
+    an integer at one common scale, and every per-coordinate interval
+    comes from an integer square root, never floats, so the walk
+    provably covers the ball (up to the visit cap).
 
-    filt, when given, is (rows, lo, hi): float embedding rows of the
-    basis behind the Gram, and a band for |prod_j <row_j, y>|.  Only
-    vectors inside the band are kept.  The filter is advisory; callers
-    re-check every kept vector exactly, and a miss costs completeness
-    of the *kept* list only, never of the walk.
+    filt is (rows, lo, hi): float embedding rows of the basis behind
+    the Gram, and a band for |prod_j <row_j, y>|.  Only vectors inside
+    the band are kept.  At the last coordinate the product is
+    prod_j (a_j + y_0 b_j) over an integer row of y_0; a row whose
+    lower bound prod_j min |a_j + y_0 b_j| clears the band by a
+    relative ROW_SKIP_MARGIN is counted without being scanned.  The
+    band and the row bound are advisory; callers re-check every kept
+    vector exactly, and a miss costs completeness of the *kept* list
+    only, never of the walk.
 
-    Returns (kept, visited, capped): visited counts every nonzero
-    vector in the radius, capped reports an early stop at the cap.
+    Returns (kept, visited, capped, rows_skipped): visited counts every
+    nonzero vector in the radius, capped reports an early stop at the
+    cap, rows_skipped the leaf rows the bound counted unscanned.
     """
     n = len(gram)
-    dpairs, coldens, mucols = _ldl_pairs(gram)
-    fcol = band_lo = band_hi = None
-    if filt is not None:
-        rows, band_lo, band_hi = filt
-        # fcol[i][j]: contribution of y_i to embedding j
-        fcol = [[float(rows[j][i]) for j in range(n)] for i in range(n)]
+    d, lam = gram_schmidt_int(gram)
+    # budgets are scaled by `scale`; level i spends weight[i] * z_i^2
+    scale = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    weight = [scale // (d[i] * d[i + 1]) for i in range(n)]
+    # lamcols[i]: lambda_ji for j > i, the pull of y_j on the centre of y_i
+    lamcols = [[lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    rows, band_lo, band_hi = filt
+    skip_above = band_hi * (1.0 + ROW_SKIP_MARGIN)
+    # fcol[i][j]: contribution of y_i to embedding j
+    fcol = [[float(rows[j][i]) for j in range(n)] for i in range(n)]
+    fc0 = fcol[0]
     kept = []
     visited = 0
+    rows_skipped = 0
     capped = False
     y = [0] * n
     fvals = [0.0] * n
-    top = n - 1
 
-    def descend(i, rn, rd, nz):
-        # remaining T2 budget is rn/rd >= 0; nz: some chosen y is nonzero
-        nonlocal visited, capped
-        dn, dd = dpairs[i]
-        m = coldens[i]
-        col = mucols[i]
-        c_num = 0
+    def descend(i, budget, nz):
+        # budget = scale * (remaining T2) >= 0; nz: some chosen y is nonzero
+        nonlocal visited, capped, rows_skipped
+        m = d[i + 1]
+        col = lamcols[i]
+        c = 0
         for t in range(n - 1 - i):
             yj = y[i + 1 + t]
             if yj:
-                c_num -= col[t] * yj
-        # (y_i - c_num/m)^2 <= (rn/rd)/(dn/dd), over Z via one isqrt
-        s = isqrt(rn * dd * m * m // (rd * dn))
-        lo = -((s - c_num) // m)
-        hi = (c_num + s) // m
-        ddmm = dd * m * m
-        rhs = rn * ddmm
-        zdr = dn * rd
+                c -= col[t] * yj
+        # (m y_i - c)^2 <= budget / weight[i], over Z via one isqrt
+        s = isqrt(budget // weight[i])
+        lo = -((s - c) // m)
+        hi = (c + s) // m
         if i == 0:
-            fc = fcol[0] if fcol is not None else None
+            row = hi - lo + 1
+            # the row through the zero vector (nz false) has bound 0
+            if nz and 0 < row and visited + row < cap:
+                flo, fhi = float(lo), float(hi)
+                bound = 1.0
+                for j in range(n):
+                    a, b = fvals[j], fc0[j]
+                    if b:
+                        # the integer of the row nearest the root -a/b
+                        t = -a / b
+                        near = round(flo if t < flo else fhi if t > fhi else t)
+                        bound *= abs(a + near * b)
+                    else:
+                        bound *= abs(a)
+                if bound > skip_above:
+                    visited += row
+                    rows_skipped += 1
+                    return
             for yi in range(lo, hi + 1):
-                z = yi * m - c_num
-                if zdr * z * z > rhs:
-                    continue
                 if yi == 0 and not nz:
                     continue
                 visited += 1
-                y[0] = yi
-                if fc is None:
+                prod = 1.0
+                for j in range(n):
+                    prod *= fvals[j] + yi * fc0[j]
+                if band_lo <= abs(prod) <= band_hi:
+                    y[0] = yi
                     kept.append(tuple(y))
-                else:
-                    prod = 1.0
-                    for j in range(n):
-                        prod *= fvals[j] + yi * fc[j]
-                    if band_lo <= abs(prod) <= band_hi:
-                        kept.append(tuple(y))
+                    y[0] = 0
                 if visited >= cap:
                     capped = True
-                    y[0] = 0
                     return
-            y[0] = 0
             return
-        fc = fcol[i] if fcol is not None else None
-        base = fvals[:] if fc is not None else None
+        fc = fcol[i]
+        base = fvals[:]
+        w = weight[i]
         for yi in range(lo, hi + 1):
-            z = yi * m - c_num
-            nn = rhs - zdr * z * z
-            if nn < 0:
-                continue
+            z = yi * m - c
             y[i] = yi
-            if fc is not None:
-                for j in range(n):
-                    fvals[j] = base[j] + yi * fc[j]
-            nd = rd * ddmm
-            g = math.gcd(nn, nd)
-            descend(i - 1, nn // g, nd // g, nz or yi != 0)
+            for j in range(n):
+                fvals[j] = base[j] + yi * fc[j]
+            descend(i - 1, budget - w * z * z, nz or yi != 0)
             if capped:
                 y[i] = 0
                 return
         y[i] = 0
 
-    descend(top, radius_sq, 1, False)
-    return kept, visited, capped
+    descend(n - 1, radius_sq * scale, False)
+    return kept, visited, capped, rows_skipped
 
 
 def exact_norm(alpha, order: CompositumOrder) -> int:
@@ -537,13 +538,13 @@ def certify_principal(
     det_gram = order.disc * B.norm * B.norm
     base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
 
-    tried = 0
+    rounds = []
     radius_sq = base_sq
     for doubling in range(schedule.max_doublings + 1):
-        vectors, visited, capped = _enumerate_short(
+        vectors, visited, capped, skipped = _enumerate_short(
             red_gram, radius_sq, schedule.max_vectors, filt
         )
-        tried += visited
+        rounds.append(EnumerationRound(radius_sq, visited, len(vectors), skipped))
         ranked = sorted(
             (sum(y[r] * red_gram[r][c] * y[c] for r in range(n) for c in range(n)), y)
             for y in vectors
@@ -571,14 +572,16 @@ def certify_principal(
             return NotFound(
                 max_radius_sq=radius_sq,
                 doublings_used=doubling,
-                enumerated=tried,
+                enumerated=sum(r.visited for r in rounds),
                 capped=True,
+                rounds=tuple(rounds),
             )
         radius_sq *= 2
     return NotFound(
         max_radius_sq=radius_sq // 2,
         doublings_used=schedule.max_doublings,
-        enumerated=tried,
+        enumerated=sum(r.visited for r in rounds),
+        rounds=tuple(rounds),
     )
 
 

@@ -1,8 +1,11 @@
-"""Small exact integer linear algebra: HNF, SNF, determinants, LLL.
+"""Small exact integer linear algebra: HNF, SNF, determinants,
+integral Gram-Schmidt and LLL.
 
 All matrices are lists of row lists.  Dimensions here are tiny (a few
 dozen at most), so the implementations favour clarity over asymptotics;
-everything is exact (ints and Fractions, never floats).
+everything is exact integer arithmetic, never floats.  Gram-Schmidt
+data is kept in Cohen's integral form (leading minors d_i and
+lambda_ij = d_j mu_ij), so every division is exact.
 """
 
 from __future__ import annotations
@@ -180,60 +183,97 @@ def smith_normal_form(a: list[list[int]], ncols: int):
     return divisors, w.v, w.vinv
 
 
-def _round_half(f: Fraction) -> int:
-    return (2 * f.numerator + f.denominator) // (2 * f.denominator)
+def gram_schmidt_int(gram: list[list[int]]):
+    """Integral Gram-Schmidt data of a positive definite integer Gram
+    matrix (Cohen, Alg. 2.6.7, step 2).
 
-
-def _gso(g: list[list[int]]):
-    n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            s = Fraction(g[i][j])
-            for l in range(j):
-                s -= mu[i][l] * mu[j][l] * b[l]
-            mu[i][j] = s / b[j]
-        s = Fraction(g[i][i])
-        for l in range(i):
-            s -= mu[i][l] * mu[i][l] * b[l]
-        b[i] = s
-    return mu, b
+    Returns (d, lam): d[0] = 1 and d[i + 1] is the leading (i+1)-minor,
+    so the squared Gram-Schmidt length of row i is d[i + 1] / d[i];
+    lam[i][j] = d[j + 1] * mu_ij for j < i.  Every entry is an integer
+    and every division below is exact.  Raises ValueError when the
+    matrix is not positive definite.
+    """
+    n = len(gram)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        lk = lam[k]
+        for j in range(k + 1):
+            u = gram[k][j]
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+            if j < k:
+                lk[j] = u
+            elif u <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            else:
+                d[k + 1] = u
+    return d, lam
 
 
 def lll_reduce_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
     """LLL-reduce a lattice given only its (integer, positive definite)
     Gram matrix.
 
-    Returns (new_gram, U) with U unimodular and new_gram = U G U^T.  The
-    Gram-Schmidt data is recomputed exactly in Fractions after every
-    update; dimensions are small enough that this is cheap.
+    Returns (new_gram, U) with U unimodular and new_gram = U G U^T.
+    All-integer LLL (Cohen, Alg. 2.6.7): the Gram matrix, U and the
+    integral Gram-Schmidt data of `gram_schmidt_int` are updated in
+    place at each size reduction and swap, so no step recomputes them.
+    Size reduction rounds half up, and the output satisfies
+    |mu_ij| <= 1/2 and the Lovasz condition with the given delta.
     """
     n = len(gram)
+    g = [list(r) for r in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d, lam = gram_schmidt_int(g)
+    num, den = delta.numerator, delta.denominator
 
-    def current_gram():
-        gu = [[sum(u[i][l] * gram[l][c] for l in range(n)) for c in range(n)] for i in range(n)]
-        return [[sum(gu[i][l] * u[j][l] for l in range(n)) for j in range(n)] for i in range(n)]
+    def reduce(k, l):
+        # b_k <- b_k - q b_l with q the nearest integer to mu_kl
+        dl = d[l + 1]
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        if not q:
+            return
+        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        gk, gl = g[k], g[l]
+        for j in range(n):
+            gk[j] -= q * gl[j]
+        gk[k] -= q * gk[l]
+        for j in range(n):
+            g[j][k] = gk[j]
+        lk, ll = lam[k], lam[l]
+        lk[l] -= q * dl
+        for i in range(l):
+            lk[i] -= q * ll[i]
 
-    g = current_gram()
-    mu, b = _gso(g)
+    def swap(k):
+        # exchange b_{k-1} and b_k
+        u[k - 1], u[k] = u[k], u[k - 1]
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lk, lk1 = lam[k], lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        lm = lk[k - 1]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
+
     k = 1
     while k < n:
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = _round_half(mu[k][j])
-            if q:
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                changed = True
-        if changed:
-            g = current_gram()
-            mu, b = _gso(g)
-        if b[k] >= (delta - mu[k][k - 1] ** 2) * b[k - 1]:
-            k += 1
-        else:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            g = current_gram()
-            mu, b = _gso(g)
+        reduce(k, k - 1)
+        lm = lam[k][k - 1]
+        if den * (d[k + 1] * d[k - 1] + lm * lm) < num * d[k] * d[k]:
+            swap(k)
             k = max(k - 1, 1)
-    return current_gram(), u
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return g, u

@@ -178,6 +178,17 @@ def test_find_prime_exhausted():
     assert set(out.failures) == {f"cond{i}" for i in range(1, 7)}
 
 
+def test_find_prime_exhausted_counts_across_sieve_windows():
+    # q = 80191 is the first hit; the scan below it crosses two windows
+    # of the lazy prime stream.  Counts frozen from the eager-sieve scan.
+    want = {"cond1": 3, "cond2": 7833, "cond3": 0,
+            "cond4": 3959, "cond5": 7844, "cond6": 5228}
+    for jobs in (1, 2):
+        out = find_prime(make_field(79), 3, 6, TARGET_79, q_bound=80190, jobs=jobs)
+        assert isinstance(out, ExhaustedSearch)
+        assert (out.scanned, out.failures) == (7848, want)
+
+
 def test_find_prime_matched_inverse_is_flagged():
     # d = 229 has h = 3; whichever of q, q-bar matches, the flag tells
     L = make_field(229)
@@ -219,6 +230,11 @@ def test_auxiliary_prime_validation_and_exhaustion():
         find_auxiliary_prime(L, 3, 0, TARGET_79)
     out = find_auxiliary_prime(L, 3, 1, TARGET_79, q_bound=6)
     assert isinstance(out, ExhaustedSearch)
+    # counts frozen from the eager-sieve scan
+    out = find_auxiliary_prime(L, 3, 7, TARGET_79, q_bound=50_000)
+    assert isinstance(out, ExhaustedSearch)
+    assert out.scanned == 5130
+    assert out.failures == {"cond1": 3, "split": 2561, "congruence": 5127, "class": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ inconsistency), and re-verifies emitted certificate records from their
 JSON alone.
 """
 
+import functools
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capitula.cli import main, reverify_record, run_certify, run_search
 
@@ -318,6 +321,60 @@ def test_reverify_rejects_tampered_records():
     bent = json.loads(json.dumps(clean))
     bent["certificate"] = None
     assert not reverify_record(bent)
+
+
+@functools.lru_cache(maxsize=None)
+def genuine_79_json() -> str:
+    record, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 12)
+    assert status == "ok"
+    return json.dumps(record)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_reverify_is_total_on_any_field(data, value):
+    record = json.loads(genuine_79_json())
+    key = data.draw(st.sampled_from(sorted(record)))
+    record[key] = value
+    assert reverify_record(record) in (True, False)
+    cert = json.loads(genuine_79_json())["certificate"]
+    cert[data.draw(st.sampled_from(sorted(cert)))] = value
+    record = {**json.loads(genuine_79_json()), "certificate": cert}
+    assert reverify_record(record) in (True, False)
+    del record[key]
+    assert reverify_record(record) is False
+    assert reverify_record(value) is False
+
+
+def test_reverify_refuses_out_of_range_parameters():
+    clean = json.loads(genuine_79_json())
+    assert reverify_record(clean)
+    for key, value in (
+        ("d", 4 * 79),           # not squarefree
+        ("d", 10**7 + 1),        # discriminant above the desk bound
+        ("d", "79"),
+        ("q", 9),                # not prime
+        ("q", 11),               # prime, but 11 - 1 is not divisible by 3
+        ("q", 10**6 + 3),        # above the re-verification ceiling
+        ("p", 2),
+        ("n", 10**18),           # p^n far above the degree ceiling
+        ("n", True),
+    ):
+        assert reverify_record({**clean, key: value}) is False, (key, value)
+    assert reverify_record({k: v for k, v in clean.items() if k != "q"}) is False
+
+
+def test_certify_refuses_what_it_could_not_reverify():
+    with pytest.raises(ValueError, match="re-verified"):
+        run_certify(79, 3, 4, "generator", None, 50_000, 1, 1, 2, 12)
 
 
 def test_version_flag(runner):

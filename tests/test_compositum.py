@@ -7,15 +7,21 @@ norm).  Certificates are exercised end to end on the worked d = 79
 capitulation and then attacked by corruption.
 """
 
+import math
 import random
+from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capitula.compositum import (
     IdealLatticeBasis,
     NotFound,
     PrincipalityCertificate,
     RadiusSchedule,
+    _enumerate_short,
     _iroot,
     build_compositum,
     certify_principal,
@@ -25,7 +31,7 @@ from capitula.compositum import (
 )
 from capitula.cyclotomic import make_subfield
 from capitula.errors import ConsistencyError
-from capitula.linalg import det_bareiss, lll_reduce_gram
+from capitula.linalg import det_bareiss, gram_schmidt_int, lll_reduce_gram
 from capitula.quadfield import (
     QuadIdeal,
     class_group,
@@ -191,10 +197,45 @@ def test_extend_ideal_rejects_foreign_and_fractional():
         extend_ideal(frac, order)
 
 
+def fraction_gso(g):
+    """Gram-Schmidt coefficients mu and squared lengths b of a Gram
+    matrix, in Fractions: the textbook recurrence, kept independent of
+    the integral routine under test."""
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            s = Fraction(g[i][j]) - sum(mu[i][l] * mu[j][l] * b[l] for l in range(j))
+            mu[i][j] = s / b[j]
+        b[i] = g[i][i] - sum(mu[i][l] ** 2 * b[l] for l in range(i))
+    return mu, b
+
+
+def test_gram_schmidt_int_matches_fractions():
+    rng = random.Random(5)
+    for _ in range(50):
+        n = rng.choice((1, 2, 4, 6))
+        while True:
+            basis = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+            if det_bareiss([row[:] for row in basis]) != 0:
+                break
+        gram = [[sum(x * y for x, y in zip(r, c)) for c in basis] for r in basis]
+        d, lam = gram_schmidt_int(gram)
+        mu, b = fraction_gso(gram)
+        assert d[0] == 1
+        for i in range(n):
+            assert Fraction(d[i + 1], d[i]) == b[i]
+            for j in range(i):
+                assert lam[i][j] == d[j + 1] * mu[i][j]
+    with pytest.raises(ValueError):
+        gram_schmidt_int([[1, 1], [1, 1]])
+
+
 def test_lll_transform_is_unimodular():
     rng = random.Random(77)
-    for _ in range(20):
-        n = rng.choice((3, 4, 6))
+    for _ in range(200):
+        n = rng.choice((2, 3, 4, 6))
         while True:
             basis = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             if det_bareiss([row[:] for row in basis]) != 0:
@@ -213,6 +254,12 @@ def test_lll_transform_is_unimodular():
             for r in range(n)
         ]
         assert [list(r) for r in red] == recomputed
+        # the output is LLL-reduced: size-reduced, and Lovasz at 99/100
+        mu, b = fraction_gso(red)
+        for i in range(n):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        for k in range(1, n):
+            assert b[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * b[k - 1]
 
 
 def test_iroot_brute():
@@ -262,6 +309,8 @@ def test_flagship_capitulation_d79():
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 343
     assert cert.ideal_norm == 343
+    # the certificate README shows
+    assert cert.alpha == (-7, -14, -24, 0, 0, -1)
     assert verify_certificate(cert, B, order)
     # containment really reproduces alpha
     n = order.degree
@@ -326,6 +375,9 @@ def test_not_found_is_inconclusive_and_reported():
     assert out.capped
     assert out.enumerated >= 500
     assert out.max_radius_sq > 0
+    assert len(out.rounds) == 1
+    assert out.rounds[0].radius_sq == out.max_radius_sq
+    assert out.rounds[0].visited == out.enumerated == 500
     # without the cap the same starved radius is exhausted instead
     full = certify_principal(
         B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=10**9)
@@ -333,9 +385,156 @@ def test_not_found_is_inconclusive_and_reported():
     assert isinstance(full, NotFound)
     assert not full.capped
     assert full.doublings_used == 0
+    # one round per radius walked; enumerated is their visited total
+    two = certify_principal(
+        B, order, RadiusSchedule(c0=1, max_doublings=1, max_vectors=10**9)
+    )
+    assert [r.radius_sq for r in two.rounds] == [full.max_radius_sq, two.max_radius_sq]
+    assert two.rounds[0] == full.rounds[0]
+    assert sum(r.visited for r in two.rounds) == two.enumerated
+    assert all(0 <= r.rows_skipped and r.kept == 0 for r in two.rounds)
 
 
 def test_schedule_defaults():
     s = RadiusSchedule()
     assert (s.c0, s.max_doublings) == (2, 12)
     assert s.max_vectors == 60_000_000
+
+
+# ---------------------------------------------------------------------------
+# enumeration against the per-leaf walk it replaced
+
+
+def _reference_ldl(gram):
+    n = len(gram)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for i in range(n):
+        d = Fraction(gram[i][i])
+        for k in range(i):
+            d -= diag[k] * mu[i][k] * mu[i][k]
+        diag[i] = d
+        for j in range(i + 1, n):
+            v = Fraction(gram[j][i])
+            for k in range(i):
+                v -= diag[k] * mu[i][k] * mu[j][k]
+            mu[j][i] = v / d
+    dpairs = [(f.numerator, f.denominator) for f in diag]
+    coldens = []
+    mucols = []
+    for i in range(n):
+        m = 1
+        for j in range(i + 1, n):
+            m = m * mu[j][i].denominator // math.gcd(m, mu[j][i].denominator)
+        coldens.append(m)
+        mucols.append([int(mu[j][i] * m) for j in range(i + 1, n)])
+    return dpairs, coldens, mucols
+
+
+def reference_enumerate(gram, radius_sq, cap, filt):
+    """The Fincke-Pohst walk that scans every leaf: a Fraction LDL,
+    per-node gcd renormalisation and a float band test at each leaf."""
+    n = len(gram)
+    dpairs, coldens, mucols = _reference_ldl(gram)
+    rows, band_lo, band_hi = filt
+    fcol = [[float(rows[j][i]) for j in range(n)] for i in range(n)]
+    kept = []
+    visited = 0
+    capped = False
+    y = [0] * n
+    fvals = [0.0] * n
+
+    def descend(i, rn, rd, nz):
+        nonlocal visited, capped
+        dn, dd = dpairs[i]
+        m = coldens[i]
+        col = mucols[i]
+        c_num = -sum(col[t] * y[i + 1 + t] for t in range(n - 1 - i))
+        s = isqrt(rn * dd * m * m // (rd * dn))
+        lo = -((s - c_num) // m)
+        hi = (c_num + s) // m
+        ddmm = dd * m * m
+        rhs = rn * ddmm
+        zdr = dn * rd
+        fc = fcol[i]
+        if i == 0:
+            for yi in range(lo, hi + 1):
+                z = yi * m - c_num
+                if zdr * z * z > rhs:
+                    continue
+                if yi == 0 and not nz:
+                    continue
+                visited += 1
+                y[0] = yi
+                prod = 1.0
+                for j in range(n):
+                    prod *= fvals[j] + yi * fc[j]
+                if band_lo <= abs(prod) <= band_hi:
+                    kept.append(tuple(y))
+                if visited >= cap:
+                    capped = True
+                    y[0] = 0
+                    return
+            y[0] = 0
+            return
+        base = fvals[:]
+        for yi in range(lo, hi + 1):
+            z = yi * m - c_num
+            nn = rhs - zdr * z * z
+            if nn < 0:
+                continue
+            y[i] = yi
+            for j in range(n):
+                fvals[j] = base[j] + yi * fc[j]
+            nd = rd * ddmm
+            g = math.gcd(nn, nd)
+            descend(i - 1, nn // g, nd // g, nz or yi != 0)
+            if capped:
+                y[i] = 0
+                return
+        y[i] = 0
+
+    descend(n - 1, radius_sq, 1, False)
+    return kept, visited, capped
+
+
+def _random_walk_input(rng, n):
+    while True:
+        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if det_bareiss([row[:] for row in basis]) != 0:
+            break
+    gram = [[sum(x * y for x, y in zip(r, c)) for c in basis] for r in basis]
+    rows = [[rng.uniform(-3.0, 3.0) for _ in range(n)] for _ in range(n)]
+    return gram, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    radius_sq=st.integers(0, 400),
+    band=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 500.0)),
+    cap=st.integers(1, 3000),
+)
+def test_enumerate_short_matches_per_leaf_walk(seed, n, radius_sq, band, cap):
+    gram, rows = _random_walk_input(random.Random(seed), n)
+    filt = (rows, min(band), max(band))
+    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt)
+    assert (kept, visited, capped) == reference_enumerate(gram, radius_sq, cap, filt)
+    assert 0 <= skipped <= visited
+
+
+def test_enumerate_short_cap_at_every_position():
+    # every cap from 1 past the end, so some cap falls inside each
+    # skippable row; the zero vector's row is always among them
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        gram, rows = _random_walk_input(rng, n)
+        filt = (rows, 0.5, 4.0)
+        radius_sq = 4 * max(gram[i][i] for i in range(n))
+        _, total, _, skipped = _enumerate_short(gram, radius_sq, 10**9, filt)
+        assert skipped > 0
+        for cap in range(1, total + 2):
+            got = _enumerate_short(gram, radius_sq, cap, filt)
+            assert got[:3] == reference_enumerate(gram, radius_sq, cap, filt)
+            assert got[2] == (cap <= total)
