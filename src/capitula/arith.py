@@ -21,6 +21,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 TRIAL_DIVISION_BOUND = 10**6
 
+SIEVE_WINDOW = 1 << 15
+
 
 def _mr_witness(a: int, n: int, d: int, r: int) -> bool:
     """True if a witnesses the compositeness of n = 2^r * d + 1."""
@@ -74,21 +76,19 @@ def sieve_primes(bound: int) -> list[int]:
     return [i for i in range(bound + 1) if flags[i]]
 
 
-def iter_primes(bound: int, segment: int = 1 << 15):
+def iter_primes(bound: int):
     """Primes <= bound in increasing order, by a segmented sieve of
-    Eratosthenes over windows of `segment` integers.
+    Eratosthenes over windows of SIEVE_WINDOW integers.
 
     Lazy: a caller that stops at q pays for the windows up to q and the
     base primes up to sqrt(bound), not for a sieve of the whole range.
     """
-    if segment < 1:
-        raise ValueError(f"segment must be positive, got {segment}")
     if bound < 2:
         return
     base = sieve_primes(math.isqrt(bound))
     lo = 0
     while lo <= bound:
-        hi = min(lo + segment, bound + 1)  # the window is [lo, hi)
+        hi = min(lo + SIEVE_WINDOW, bound + 1)  # the window is [lo, hi)
         flags = bytearray([1]) * (hi - lo)
         for x in range(lo, min(hi, 2)):
             flags[x - lo] = 0

@@ -23,7 +23,7 @@ from dataclasses import asdict
 import click
 
 from . import __version__
-from .arith import is_prime, is_squarefree, kronecker
+from .arith import is_prime, kronecker
 from .bounds import herbrand_report, required_n
 from .chebotarev import (
     ExhaustedSearch,
@@ -296,7 +296,8 @@ def _is_int_list(x) -> bool:
 
 def _well_formed(record) -> bool:
     """Shape and range checks of reverify_record, made before anything
-    is built: cheap, and bounded on any JSON value."""
+    is built: cheap, and bounded on any JSON value.  That d is
+    squarefree is left to make_field, which checks it first."""
     if not isinstance(record, dict):
         return False
     cert = record.get("certificate")
@@ -312,7 +313,7 @@ def _well_formed(record) -> bool:
         return False
     d, p, n, q = record["d"], record["p"], record["n"], record["q"]
     disc = d if d % 4 == 1 else 4 * d
-    if not (2 <= d and disc <= DESK_DISC_BOUND and is_squarefree(d)):
+    if not 2 <= d or disc > DESK_DISC_BOUND:
         return False
     if not (3 <= p <= REVERIFY_DEGREE_MAX and is_prime(p)):
         return False
@@ -343,7 +344,10 @@ def reverify_record(record) -> bool:
     if not _well_formed(record):
         return False
     cert = record["certificate"]
-    L = make_field(record["d"])
+    try:
+        L = make_field(record["d"])
+    except ValueError:  # d is not squarefree
+        return False
     F = make_subfield(record["q"], record["p"] ** record["n"])
     order = build_compositum(L, F)
     lattice = extend_ideal(prime_ideal_above(L, record["q"]), order)

@@ -5,9 +5,8 @@ computation over a full small range, plus a few frozen spot values that
 later modules depend on.
 """
 
-import pytest
-
 from capitula.arith import (
+    SIEVE_WINDOW,
     ResidueSymbol,
     factorize,
     is_prime,
@@ -43,15 +42,9 @@ def test_sieve_matches_trial_division():
 
 
 def test_iter_primes_matches_sieve():
-    default = 1 << 15
-    for bound in (0, 1, 2, default - 1, default, default + 1, 10**5):
+    w = SIEVE_WINDOW
+    for bound in (0, 1, 2, w - 1, w, w + 1, 10**5):
         assert list(iter_primes(bound)) == sieve_primes(bound), bound
-    # tiny windows put every boundary case at a window edge
-    for segment in (1, 2, 3, 10, 97):
-        for bound in (0, 1, 2, segment - 1, segment, segment + 1, 1000):
-            assert list(iter_primes(bound, segment)) == sieve_primes(bound)
-    with pytest.raises(ValueError):
-        next(iter_primes(10, 0))
 
 
 def test_is_prime_agrees_with_sieve():
