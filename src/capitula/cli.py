@@ -286,12 +286,9 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     return record, "ok"
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(_is_int(v) for v in x)
+    # a JSON integer is a plain int; bool, float and str are not
+    return type(x) is list and set(map(type, x)) <= {int}
 
 
 def _well_formed(record) -> bool:
@@ -305,10 +302,9 @@ def _well_formed(record) -> bool:
         isinstance(cert, dict)
         and _is_int_list(cert.get("alpha"))
         and _is_int_list(cert.get("containment"))
-        and _is_int(cert.get("norm_alpha"))
-        and _is_int(cert.get("ideal_norm"))
-        and all(_is_int(record.get(k)) for k in ("d", "p", "n", "q", "ideal_norm"))
-        and isinstance(record.get("ideal_hnf"), list)
+        and _is_int_list([cert.get("norm_alpha"), cert.get("ideal_norm")])
+        and _is_int_list([record.get(k) for k in ("d", "p", "n", "q", "ideal_norm")])
+        and type(record.get("ideal_hnf")) is list
     ):
         return False
     d, p, n, q = record["d"], record["p"], record["n"], record["q"]
