@@ -10,7 +10,6 @@ lambda_ij = d_j mu_ij), so every division is exact.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
