@@ -1,7 +1,7 @@
 """capitula: find convenient primes and certify that ideal classes of a
 real quadratic field become principal in an explicit abelian compositum."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .arith import (
     ResidueSymbol,
@@ -37,7 +37,6 @@ from .cyclotomic import (
     CyclotomicSubfield,
     make_subfield,
     period_cosets,
-    period_polynomial,
     verify_subfield,
 )
 from .quadfield import (
@@ -47,7 +46,6 @@ from .quadfield import (
     QuadraticField,
     class_group,
     fundamental_unit,
-    ideal_class_of,
     is_principal,
     make_field,
     prime_ideal_above,

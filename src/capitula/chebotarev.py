@@ -38,7 +38,6 @@ from .quadfield import (
     QuadraticField,
     class_group,
     fundamental_unit,
-    ideal_class_of,
     make_field,
     prime_ideal_above,
 )
@@ -187,7 +186,7 @@ def check_conditions(
             eps_res = fundamental_unit(L).residue(omega_res, q)
             symbol = arith.power_residue_symbol(eps_res, q, pn)
             cond5 = symbol.order == spec.required_order
-        coords = ideal_class_of(cg, prime_ideal_above(L, q))
+        coords = cg.coords_of(prime_ideal_above(L, q))
         inverse = cg.inverse_coords(target)
         cond6 = coords in (target, inverse)
         matched_inverse = cond6 and coords == inverse and target != inverse
@@ -252,40 +251,50 @@ def find_prime(
         return _find_prime_blocks(L, p, n, target, spec, q_bound, jobs)
 
     stats = {name: 0 for name in _COND_NAMES}
+    hit, scanned = _scan(arith.iter_primes(q_bound), 2 * p * L.disc,
+                         _condition_test(L, p, n, target, spec), stats)
+    if hit is not None:
+        return hit
+    return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
+
+
+def _scan(primes, bad, test, stats):
+    """The one prime-scan loop: test the primes in order until one passes.
+
+    A prime dividing bad (2 p disc) is skipped and counted under cond1.
+    test(q) returns (value, names of the conditions q fails); each
+    failure is tallied in stats.  Returns (value of the first q that
+    fails nothing, or None; how many primes were tested).
+    """
     scanned = 0
-    for q in arith.iter_primes(q_bound):
-        if (2 * p * L.disc) % q == 0:
+    for q in primes:
+        if bad % q == 0:
             stats["cond1"] += 1
             continue
         scanned += 1
+        value, failed = test(q)
+        if not failed:
+            return value, scanned
+        for name in failed:
+            stats[name] += 1
+    return None, scanned
+
+
+def _condition_test(L, p, n, target, spec):
+    def test(q):
         cand = check_conditions(L, p, n, q, target, spec)
-        if cand.passed:
-            return cand
-        for name, flag in zip(_COND_NAMES, cand.flags()):
-            if not flag:
-                stats[name] += 1
-    return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
+        return cand, [name for name, ok in zip(_COND_NAMES, cand.flags()) if not ok]
+    return test
 
 
 def _scan_block(d, p, n, target, phi_scale, primes):
     """Worker body: scan one block of primes; returns the first hit (or
     None), the block's failure counts, and how many were scanned."""
     L = make_field(d)
-    spec = LambdaSpec(p, n, phi_scale)
     stats = {name: 0 for name in _COND_NAMES}
-    scanned = 0
-    for q in primes:
-        if (2 * p * L.disc) % q == 0:
-            stats["cond1"] += 1
-            continue
-        scanned += 1
-        cand = check_conditions(L, p, n, q, target, spec)
-        if cand.passed:
-            return cand, stats, scanned
-        for name, flag in zip(_COND_NAMES, cand.flags()):
-            if not flag:
-                stats[name] += 1
-    return None, stats, scanned
+    test = _condition_test(L, p, n, target, LambdaSpec(p, n, phi_scale))
+    hit, scanned = _scan(primes, 2 * p * L.disc, test, stats)
+    return hit, stats, scanned
 
 
 def _find_prime_blocks(L, p, n, target, spec, q_bound, jobs):
@@ -354,46 +363,43 @@ def find_auxiliary_prime(
     target = _normalize_class(cg, target_class)
     inverse = cg.inverse_coords(target)
     pa = p**a
-    modulus = 2 * pa
+
+    def test(q):
+        failed = []
+        if arith.kronecker(L.disc, q) != 1:
+            failed.append("split")
+        if q % (2 * pa) != 1:
+            failed.append("congruence")
+        if failed:
+            return None, failed
+        coords = cg.coords_of(prime_ideal_above(L, q))
+        if coords not in (target, inverse):
+            return None, ["class"]
+        return (q, coords), []
 
     stats = {"cond1": 0, "split": 0, "congruence": 0, "class": 0}
-    scanned = 0
-    for q in arith.iter_primes(q_bound):
-        if (2 * p * L.disc) % q == 0:
-            stats["cond1"] += 1
-            continue
-        scanned += 1
-        split = arith.kronecker(L.disc, q) == 1
-        congruence = q % modulus == 1
-        if not split:
-            stats["split"] += 1
-        if not congruence:
-            stats["congruence"] += 1
-        if not (split and congruence):
-            continue
-        coords = ideal_class_of(cg, prime_ideal_above(L, q))
-        if coords not in (target, inverse):
-            stats["class"] += 1
-            continue
-        statement = (
-            f"c_L' = class(q')^{pa} lies in Cl_L'^{pa}; "
-            f"L' = L * F_0 with F_0 in Q(mu_{q}) of degree {pa}, "
-            f"totally ramified at q = {q}"
-        )
-        return AuxiliaryReduction(
-            q=q,
-            p=p,
-            a=a,
-            degree=pa,
-            split=True,
-            congruence_ok=True,
-            class_coords=coords,
-            target_class=target,
-            matched_inverse=coords == inverse and target != inverse,
-            root=arith.sqrt_mod(L.d % q, q),
-            statement=statement,
-        )
-    return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
+    hit, scanned = _scan(arith.iter_primes(q_bound), 2 * p * L.disc, test, stats)
+    if hit is None:
+        return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
+    q, coords = hit
+    statement = (
+        f"c_L' = class(q')^{pa} lies in Cl_L'^{pa}; "
+        f"L' = L * F_0 with F_0 in Q(mu_{q}) of degree {pa}, "
+        f"totally ramified at q = {q}"
+    )
+    return AuxiliaryReduction(
+        q=q,
+        p=p,
+        a=a,
+        degree=pa,
+        split=True,
+        congruence_ok=True,
+        class_coords=coords,
+        target_class=target,
+        matched_inverse=coords == inverse and target != inverse,
+        root=arith.sqrt_mod(L.d % q, q),
+        statement=statement,
+    )
 
 
 def cyclic_quotient_exponent(divisors, C_order: int) -> bool:

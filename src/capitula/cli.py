@@ -23,9 +23,10 @@ from dataclasses import asdict
 import click
 
 from . import __version__
-from .arith import is_prime, kronecker
+from .arith import is_prime, is_squarefree, kronecker
 from .bounds import herbrand_report, required_n
 from .chebotarev import (
+    DEFAULT_Q_BOUND,
     ExhaustedSearch,
     LambdaSpec,
     check_conditions,
@@ -43,15 +44,7 @@ from .compositum import (
 )
 from .cyclotomic import make_subfield, poly_str, verify_subfield
 from .errors import ConsistencyError
-from .quadfield import (
-    DESK_DISC_BOUND,
-    class_group,
-    is_principal,
-    make_field,
-    prime_ideal_above,
-)
-
-DEFAULT_Q_BOUND = 10**6
+from .quadfield import class_group, is_principal, make_field, prime_ideal_above
 
 # Ceilings of re-verification.  A record above them is refused before
 # anything is built, which bounds the cost of reverify_record on any
@@ -263,7 +256,6 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
 
     principal, _ = is_principal(L, ideal)
     record["principal_in_L"] = principal
-    record["already_principal"] = principal
 
     t0 = time.perf_counter()
     outcome = certify_principal(
@@ -293,8 +285,9 @@ def _is_int_list(x) -> bool:
 
 def _well_formed(record) -> bool:
     """Shape and range checks of reverify_record, made before anything
-    is built: cheap, and bounded on any JSON value.  That d is
-    squarefree is left to make_field, which checks it first."""
+    is built: cheap, and bounded on any JSON value.  That d makes a
+    field (d >= 2, disc(d) <= DESK_DISC_BOUND, d squarefree) is left to
+    make_field, which checks the bound before it factors d."""
     if not isinstance(record, dict):
         return False
     cert = record.get("certificate")
@@ -309,8 +302,6 @@ def _well_formed(record) -> bool:
         return False
     d, p, n, q = record["d"], record["p"], record["n"], record["q"]
     disc = d if d % 4 == 1 else 4 * d
-    if not 2 <= d or disc > DESK_DISC_BOUND:
-        return False
     if not (3 <= p <= REVERIFY_DEGREE_MAX and is_prime(p)):
         return False
     # p >= 3, so p^n <= REVERIFY_DEGREE_MAX already bounds n by its bit length
@@ -342,7 +333,7 @@ def reverify_record(record) -> bool:
     cert = record["certificate"]
     try:
         L = make_field(record["d"])
-    except ValueError:  # d is not squarefree
+    except ValueError:  # d < 2, disc(d) above the desk bound, or d not squarefree
         return False
     F = make_subfield(record["q"], record["p"] ** record["n"])
     order = build_compositum(L, F)
@@ -532,7 +523,7 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
         f"eta polynomial {poly_str(sub['period_poly'])}, disc {sub['disc']}"
     )
     click.echo(f"compositum discriminant: {record['compositum_disc']}")
-    if record["already_principal"]:
+    if record["principal_in_L"]:
         click.echo("note: class is already principal in L (degenerate run)")
     if status == "not_found":
         nf = record["not_found"]
@@ -566,46 +557,41 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
-    divisible by p, and print a summary table."""
+    divisible by p, printing each row (and appending each record) as
+    soon as its field is done."""
     try:
         LambdaSpec(p, n)  # validates p odd prime, n >= 1
-        members = []
-        for d in range(max(2, dmin), dmax + 1):
-            try:
-                L = make_field(d)
-            except ValueError:
-                continue
-            if class_group(L).order % p == 0:
-                members.append(d)
+        members = [
+            d for d in range(max(2, dmin), dmax + 1)
+            if is_squarefree(d) and class_group(make_field(d)).order % p == 0
+        ]
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 
-    rows = []
     work = [(d, p, n, qbound, phi_scale, c0, max_doublings) for d in members]
-    if jobs > 1 and len(work) > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survey_one, work))
-    else:
-        results = [_survey_one(w) for w in work]
-
-    for d, record, status in results:
-        _append_record(out, record)
-        h = record.get("class_group", {}).get("order")
-        qv = record.get("q")
-        ms = sum(record.get("timings_ms", {}).values())
-        rows.append((d, h, qv, status, ms))
-
+    pool = futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(work) > 1 else None
+    results = pool.map(_survey_one, work) if pool else map(_survey_one, work)
     click.echo(f"{'d':>6} {'h':>4} {'q':>8} {'status':>10} {'ms':>9}")
-    for d, h, qv, status, ms in rows:
-        click.echo(
-            f"{d:>6} {h if h is not None else '-':>4} "
-            f"{qv if qv is not None else '-':>8} {status:>10} {ms:>9.1f}"
-        )
-    click.echo(
-        f"{len(rows)} fields, "
-        f"{sum(1 for r in rows if r[3] == 'ok')} certified"
-    )
+    certified = 0
+    try:
+        for d, record, status in results:
+            _append_record(out, record)
+            h = record.get("class_group", {}).get("order")
+            qv = record.get("q")
+            ms = sum(record.get("timings_ms", {}).values())
+            click.echo(
+                f"{d:>6} {h if h is not None else '-':>4} "
+                f"{qv if qv is not None else '-':>8} {status:>10} {ms:>9.1f}"
+            )
+            certified += status == "ok"
+    except ConsistencyError as exc:
+        click.echo(f"internal consistency failure: {exc}", err=True)
+        sys.exit(3)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    click.echo(f"{len(work)} fields, {certified} certified")
 
 
 @main.command()

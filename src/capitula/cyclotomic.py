@@ -163,7 +163,12 @@ def _index_table(q: int, e: int, g: int):
 
 @lru_cache(maxsize=None)
 def make_subfield(q: int, e: int) -> CyclotomicSubfield:
-    """Construct the degree-e period subfield of Q(mu_q).  e must be odd."""
+    """Construct the degree-e period subfield of Q(mu_q), together with
+    the minimal polynomial of eta_0.  e must be odd.
+
+    (7, 3) gives x^3 + x^2 - 2x - 1; (q, 1) gives x + 1 since the full
+    period is the sum of all nontrivial q-th roots of unity.
+    """
     _validate(q, e)
     if e % 2 == 0:
         raise ValueError("even degree is out of scope (the base prime is odd)")
@@ -248,15 +253,6 @@ def _minimal_polynomial(e, f, tmat) -> tuple:
         # monic, and the periods must sum to -1
         raise ConsistencyError("period polynomial has the wrong leading terms")
     return tuple(coeffs)
-
-
-def period_polynomial(q: int, e: int) -> CyclotomicSubfield:
-    """The subfield together with the minimal polynomial of eta_0.
-
-    (7, 3) gives x^3 + x^2 - 2x - 1; (q, 1) gives x + 1 since the full
-    period is the sum of all nontrivial q-th roots of unity.
-    """
-    return make_subfield(q, e)
 
 
 # ---------------------------------------------------------------------------

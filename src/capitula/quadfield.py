@@ -58,12 +58,16 @@ class QuadraticField:
 
 
 def make_field(d: int) -> QuadraticField:
-    """Build Q(sqrt(d)).  d must be a squarefree integer >= 2."""
+    """Build Q(sqrt(d)).  d must be a squarefree integer >= 2 whose
+    discriminant is at most DESK_DISC_BOUND; the bound is checked
+    before d is factored, so a huge d is refused at once."""
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"need an integer d >= 2, got {d!r}")
+    disc = d if d % 4 == 1 else 4 * d
+    if disc > DESK_DISC_BOUND:
+        raise ValueError(f"disc {disc} is above the desk bound {DESK_DISC_BOUND}")
     if not arith.is_squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
-    disc = d if d % 4 == 1 else 4 * d
     return QuadraticField(d=d, disc=disc)
 
 
@@ -425,7 +429,7 @@ def _vp(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def class_group(L: QuadraticField, max_disc: int = DESK_DISC_BOUND) -> ClassGroup:
+def class_group(L: QuadraticField) -> ClassGroup:
     """Class group by factor-base closure plus Smith normal form.
 
     Prime ideals with norm up to the Minkowski bound sqrt(D)/2 generate
@@ -435,8 +439,6 @@ def class_group(L: QuadraticField, max_disc: int = DESK_DISC_BOUND) -> ClassGrou
     gives the invariant factors, coordinates for every class, and
     generator ideals whose orders are verified by explicit powering.
     """
-    if L.disc > max_disc:
-        raise ValueError(f"disc {L.disc} above the configured bound {max_disc}")
     D = L.disc
     fb_primes = [p for p in arith.sieve_primes(math.isqrt(D) // 2) if arith.kronecker(D, p) != -1]
     fb = [_prime_above_any(L, p) for p in fb_primes]
@@ -532,8 +534,3 @@ def _verify_generator_orders(L: QuadraticField, cg: ClassGroup):
 
 def _cycle_contains_unit(L: QuadraticField, f_reduced) -> bool:
     return any(g[0] == 1 for g in _cycle_raw(L, f_reduced))
-
-
-def ideal_class_of(cg: ClassGroup, ideal: QuadIdeal) -> tuple[int, ...]:
-    """Coordinates of [ideal] with respect to cg's generators."""
-    return cg.coords_of(ideal)

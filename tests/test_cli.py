@@ -14,7 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capitula import cli
 from capitula.cli import main, reverify_record, run_certify, run_search
+from capitula.errors import ConsistencyError
 
 
 @pytest.fixture()
@@ -133,6 +135,7 @@ def test_certify_79_with_explicit_q13(runner, tmp_path):
     assert rec["ideal_norm"] == 13**3
     assert abs(rec["certificate"]["norm_alpha"]) == 13**3
     assert rec["principal_in_L"] is False
+    assert "already_principal" not in rec
     assert rec["bound_report"]["threshold_met"] is True
     # the record alone re-verifies after a JSON round-trip
     assert reverify_record(json.loads(json.dumps(rec)))
@@ -227,6 +230,40 @@ def test_survey_skips_fields_without_p_torsion(runner):
 def test_survey_rejects_bad_p(runner):
     result = runner.invoke(main, ["survey", "--dmax", "10", "--p", "2"])
     assert result.exit_code == 2
+
+
+def test_survey_streams_each_record_as_its_field_finishes(runner, tmp_path, monkeypatch):
+    # 79 and 142 are the 3-divisible fields in the range; the second one
+    # trips a consistency failure, after the first record is written
+    real = cli.run_certify
+
+    def run_certify_or_fail(d, *args):
+        if d == 142:
+            raise ConsistencyError("injected")
+        return real(d, *args)
+
+    monkeypatch.setattr(cli, "run_certify", run_certify_or_fail)
+    out = tmp_path / "records.jsonl"
+    result = runner.invoke(
+        main,
+        ["survey", "--dmin", "79", "--dmax", "142", "--p", "3", "--out", str(out)],
+    )
+    (rec,) = read_records(out)
+    assert rec["d"] == 79 and rec["certificate"] is not None
+    lines = result.output.splitlines()
+    assert lines[0].split() == ["d", "h", "q", "status", "ms"]
+    assert lines[1].split()[:4] == ["79", "3", "7", "ok"]
+    assert result.exit_code == 3
+    assert "internal consistency failure: injected" in result.output
+
+
+def test_survey_rejects_range_past_desk_bound(runner):
+    # d = 1000002 = 2 * 3 * 166667 is squarefree, but disc = 4 d > 4 * 10^6
+    result = runner.invoke(
+        main, ["survey", "--dmin", "1000002", "--dmax", "1000002", "--p", "3"]
+    )
+    assert result.exit_code == 2
+    assert "desk bound" in result.output
 
 
 # ---------------------------------------------------------------------------

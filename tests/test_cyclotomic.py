@@ -20,7 +20,6 @@ from capitula.cyclotomic import (
     _build_subfield,
     make_subfield,
     period_cosets,
-    period_polynomial,
     poly_str,
     verify_subfield,
 )
@@ -105,7 +104,7 @@ def set_prime_divisors(n):
 
 
 def test_period_polynomial_frozen_7_3():
-    sub = period_polynomial(7, 3)
+    sub = make_subfield(7, 3)
     assert sub.period_poly == (-1, -2, 1, 1)
     assert sub.poly_str() == "x^3 + x^2 - 2x - 1"
     assert sub.f == 2
@@ -113,7 +112,7 @@ def test_period_polynomial_frozen_7_3():
 
 
 def test_period_polynomial_frozen_13_3():
-    sub = period_polynomial(13, 3)
+    sub = make_subfield(13, 3)
     assert sub.period_poly == (1, -4, 1, 1)
     assert sub.poly_str() == "x^3 + x^2 - 4x + 1"
     assert sub.f == 4

@@ -14,12 +14,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from capitula import quadfield
 from capitula.arith import factorize, is_squarefree, kronecker, sieve_primes
 from capitula.quadfield import (
     QuadIdeal,
     class_group,
     fundamental_unit,
-    ideal_class_of,
     is_principal,
     make_field,
     prime_ideal_above,
@@ -131,7 +131,7 @@ FROZEN_UNITS = {
 # fields and units
 
 
-def test_make_field_validation():
+def test_make_field_validation(monkeypatch):
     with pytest.raises(ValueError):
         make_field(12)
     with pytest.raises(ValueError):
@@ -142,6 +142,16 @@ def test_make_field_validation():
     assert make_field(79).disc == 316
     assert make_field(79).s == 0
     assert make_field(5).s == 1
+    with pytest.raises(ValueError, match="desk bound"):
+        make_field(10**7 + 19)
+    # the desk bound is checked before d is factored: a 200-digit d
+    # never reaches the squarefree test
+    def no_factoring(n):
+        raise AssertionError("make_field factored an out-of-range d")
+
+    monkeypatch.setattr(quadfield.arith, "is_squarefree", no_factoring)
+    with pytest.raises(ValueError, match="desk bound"):
+        make_field(10**199 + 7)
 
 
 def test_fundamental_unit_small_pell_scan():
@@ -314,10 +324,3 @@ def test_is_principal_generator_for_class_order():
     assert is_principal(L, frak)[0] is False
     ok, (x, y) = is_principal(L, frak**3)
     assert ok and abs(L.norm_element(x, y)) == 343
-
-
-def test_ideal_class_of_matches_coords():
-    L = make_field(79)
-    cg = class_group(L)
-    frak = prime_ideal_above(L, 13)
-    assert ideal_class_of(cg, frak) == cg.coords_of(frak)
