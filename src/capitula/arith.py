@@ -23,6 +23,11 @@ TRIAL_DIVISION_BOUND = 10**6
 
 SIEVE_WINDOW = 1 << 15
 
+# entries kept by each per-field cache (quadfield.class_group and
+# fundamental_unit, cyclotomic.make_subfield), so that a long survey's
+# memory stays bounded
+CACHE_MAXSIZE = 1024
+
 
 def _mr_witness(a: int, n: int, d: int, r: int) -> bool:
     """True if a witnesses the compositeness of n = 2^r * d + 1."""

@@ -16,27 +16,24 @@ T2 radius, both driven by the same integral Gram-Schmidt data.  Every
 candidate is judged purely in integers: the norm is a Bareiss
 determinant of the multiplication matrix, and the containment witness
 is re-derived by back-substitution against the HNF rows.
-Floating-point embeddings only steer the search: a band on the
-approximate norm pre-screens candidates, and a float lower bound on
-that norm lets whole leaf rows of the walk be counted unscanned.  Both
-are advisory, carry no proven error bound, and can cost a candidate
-but never a wrong answer; nothing committed depends on them.
+Floating-point embeddings, plain `math` floats built inside
+`certify_principal`, only steer the search: a band on the approximate
+norm pre-screens candidates, and a float lower bound on that norm lets
+whole leaf rows of the walk be counted unscanned.  Both are advisory,
+carry no proven error bound, and can cost a candidate but never a
+wrong answer; nothing committed depends on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
-
-import mpmath
 
 from .cyclotomic import CyclotomicSubfield
 from .errors import ConsistencyError
 from .linalg import det_bareiss, gram_schmidt_int, hnf_rows, lll_reduce_gram
 from .quadfield import QuadIdeal, QuadraticField
-
-DEFAULT_EMBED_PREC = 96
 
 # relative margin by which a leaf row's float lower bound on |N(y)| must
 # clear the band before the row is counted unscanned
@@ -60,9 +57,6 @@ class CompositumOrder:
     gram: tuple
     disc: int
     one_coords: tuple
-    embeddings: tuple = field(repr=False)
-    embed_prec: int = DEFAULT_EMBED_PREC
-    embed_error: float = 0.0
 
     def mul(self, x, y):
         """Product of two coordinate vectors, exactly."""
@@ -115,12 +109,8 @@ def _quad_pair_product(x1, y1, x2, y2, s, nw):
     return (x1 * x2 - nw * y1 * y2, x1 * y2 + y1 * x2 + s * y1 * y2)
 
 
-def build_compositum(
-    L: QuadraticField,
-    F: CyclotomicSubfield,
-    embed_prec: int = DEFAULT_EMBED_PREC,
-) -> CompositumOrder:
-    """Assemble the order, verify its discriminant, embed it.
+def build_compositum(L: QuadraticField, F: CyclotomicSubfield) -> CompositumOrder:
+    """Assemble the order in exact integers and verify its discriminant.
 
     The discriminant of the trace form must come out disc(L)^e *
     q^(2(e-1)) exactly; anything else means the tensor basis is not
@@ -185,7 +175,6 @@ def build_compositum(
             f"trace-form discriminant {disc} != disc(L)^e * q^(2e-2) = {expected}"
         )
 
-    emb, err = _embeddings(L, F, embed_prec)
     order = CompositumOrder(
         L=L,
         F=F,
@@ -194,9 +183,6 @@ def build_compositum(
         gram=gram,
         disc=disc,
         one_coords=one,
-        embeddings=emb,
-        embed_prec=embed_prec,
-        embed_error=err,
     )
 
     # identity sanity: 1 * b_r = b_r for every basis vector
@@ -207,33 +193,20 @@ def build_compositum(
     return order
 
 
-def _embeddings(L, F, prec):
-    """One row per real embedding, one column per basis vector, plus a
-    certified-by-recomputation error radius for the entries."""
-
-    def rows(bits):
-        with mpmath.mp.workprec(bits):
-            sq = mpmath.sqrt(L.disc)
-            w_vals = ((L.s + sq) / 2, (L.s - sq) / 2)
-            p_vals = F.period_values(bits)
-            out = []
-            for wv in w_vals:
-                for k in range(F.e):
-                    row = []
-                    for a in (0, 1):
-                        for i in range(F.e):
-                            row.append(
-                                (1 if a == 0 else wv) * p_vals[(i + k) % F.e]
-                            )
-                    out.append(tuple(row))
-            return tuple(out)
-
-    low, high = rows(prec), rows(prec + 48)
-    err = 0.0
-    for rl, rh in zip(low, high):
-        for a, b in zip(rl, rh):
-            err = max(err, abs(float(a - b)))
-    return high, 2.0 * err + 2.0 ** (1 - prec)
+def _embeddings(order: CompositumOrder):
+    """Float rows of the real embeddings of M, one per embedding, one
+    column per basis vector: embedding (a, k) sends w to its a-th
+    conjugate and eta_i to eta_{i+k mod e}.  Steering data only."""
+    L, F = order.L, order.F
+    e = F.e
+    sq = math.sqrt(L.disc)
+    periods = F.period_values()
+    rows = []
+    for wv in ((L.s + sq) / 2, (L.s - sq) / 2):
+        for k in range(e):
+            shifted = [periods[(i + k) % e] for i in range(e)]
+            rows.append(shifted + [wv * v for v in shifted])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -509,10 +482,12 @@ def certify_principal(
     vectors by growing T2 radius, and accept the first (in T2-then-
     lexicographic order) whose exact norm matches the ideal norm in
     absolute value.  The walk pre-screens candidates by approximate
-    norm through the float embeddings (a generous factor-4 band), so
-    exact Bareiss norms are only computed for the handful that look
-    right; the accept decision itself is always exact.  Containment is
-    by construction but re-derived independently for the certificate.
+    norm (a generous factor-4 band) through double-precision embeddings
+    of the reduced basis, built here from math.sqrt(disc(L)) and the
+    float periods, each entry one math.fsum; so exact Bareiss norms
+    are only computed for the handful that look right, and the accept
+    decision itself is always exact.  Containment is by construction
+    but re-derived independently for the certificate.
     Returns NotFound with the exhausted radius when the schedule runs
     out; that is inconclusive.
     """
@@ -528,9 +503,9 @@ def certify_principal(
 
     # float embedding rows of the reduced basis, for the norm band
     redrows = [_mat_vec(list(U[i]), hnf) for i in range(n)]
-    emb = order.embeddings
+    emb = _embeddings(order)
     frows = [
-        [float(sum(emb[j][c] * redrows[i][c] for c in range(n))) for i in range(n)]
+        [math.fsum(emb[j][c] * redrows[i][c] for c in range(n)) for i in range(n)]
         for j in range(n)
     ]
     filt = (frows, B.norm / 4.0, B.norm * 4.0)

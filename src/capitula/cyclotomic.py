@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from . import arith
 from .errors import ConsistencyError
 from .linalg import det_bareiss
@@ -92,15 +90,16 @@ class CyclotomicSubfield:
                 gram[i][j] = gram[j][i] = t
         return gram
 
-    def period_values(self, prec: int = 96):
-        """Real values of eta_0..eta_{e-1} at prec bits (conjugate i maps
-        eta_j to eta_{j+i mod e}, so these are all the embedding data)."""
-        with mpmath.mp.workprec(prec):
-            step = 2 * mpmath.mp.pi / self.q
-            return tuple(
-                mpmath.fsum(mpmath.cos(step * h) for h in coset)
-                for coset in self.coset_reps
-            )
+    def period_values(self):
+        """Float values of eta_0..eta_{e-1}, each the math.fsum of the
+        cosines of its coset (conjugate i maps eta_j to eta_{j+i mod e},
+        so these are all the embedding data).  They steer the lattice
+        walk only; nothing exact is derived from them."""
+        q = self.q
+        return tuple(
+            math.fsum(math.cos(2 * math.pi * h / q) for h in coset)
+            for coset in self.coset_reps
+        )
 
     def poly_str(self) -> str:
         return poly_str(self.period_poly)
@@ -161,7 +160,7 @@ def _index_table(q: int, e: int, g: int):
     return ind
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=arith.CACHE_MAXSIZE)
 def make_subfield(q: int, e: int) -> CyclotomicSubfield:
     """Construct the degree-e period subfield of Q(mu_q), together with
     the minimal polynomial of eta_0.  e must be odd.

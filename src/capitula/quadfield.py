@@ -53,9 +53,6 @@ class QuadraticField:
         """Norm of x + y*w (works for ints and Fractions)."""
         return x * x + self.s * x * y + y * y * self.norm_omega()
 
-    def omega_repr(self) -> str:
-        return f"(1+sqrt({self.d}))/2" if self.s else f"sqrt({self.d})"
-
 
 def make_field(d: int) -> QuadraticField:
     """Build Q(sqrt(d)).  d must be a squarefree integer >= 2 whose
@@ -102,9 +99,6 @@ class QuadIdeal:
 
     def norm(self) -> Fraction:
         return self.scale * self.scale * self.a
-
-    def is_integral(self) -> bool:
-        return self.scale.denominator == 1
 
     def conjugate(self) -> "QuadIdeal":
         L = self.field
@@ -280,7 +274,7 @@ class FundamentalUnit:
         return (self.u + self.v * omega_res) % q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=arith.CACHE_MAXSIZE)
 def fundamental_unit(L: QuadraticField) -> FundamentalUnit:
     """Fundamental unit by the continued fraction of w.
 
@@ -428,7 +422,7 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=arith.CACHE_MAXSIZE)
 def class_group(L: QuadraticField) -> ClassGroup:
     """Class group by factor-base closure plus Smith normal form.
 

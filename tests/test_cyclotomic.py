@@ -209,13 +209,34 @@ def test_validation_rejects_bad_input():
 # numeric cross-checks of the multiplication table
 
 
+def periods_oracle(sub):
+    """The periods at 200 bits: each the mpmath fsum of the cosines of
+    its coset."""
+    with mpmath.workprec(200):
+        step = 2 * mpmath.pi / sub.q
+        return [mpmath.fsum(mpmath.cos(step * h) for h in coset) for coset in sub.coset_reps]
+
+
+def test_period_values_match_mpmath_oracle():
+    # the float periods steer the lattice walk: each must sit within
+    # 1e-15 per cosine of its 200-bit value (measured: 2.2e-16 per cosine)
+    for q, e in [(7, 3), (13, 3), (31, 5), (43, 7), (19, 9), (9973, 3)]:
+        sub = make_subfield(q, e)
+        f = (q - 1) // e
+        floats = sub.period_values()
+        assert all(type(v) is float for v in floats)
+        with mpmath.workprec(200):
+            for val, exact in zip(floats, periods_oracle(sub), strict=True):
+                assert abs(mpmath.mpf(val) - exact) <= 1e-15 * f
+
+
 def test_mul_coords_against_floats():
     import random
 
     rng = random.Random(5)
     for q, e in [(7, 3), (13, 3), (31, 5)]:
         sub = make_subfield(q, e)
-        vals = sub.period_values(prec=200)
+        vals = periods_oracle(sub)
         for _ in range(20):
             u = [rng.randint(-9, 9) for _ in range(e)]
             v = [rng.randint(-9, 9) for _ in range(e)]
@@ -232,7 +253,7 @@ def test_each_period_is_a_root():
     for q, e in [(7, 3), (13, 3), (19, 9)]:
         sub = make_subfield(q, e)
         with mpmath.workprec(200):
-            for val in sub.period_values(prec=200):
+            for val in periods_oracle(sub):
                 acc = mpmath.mpf(0)
                 for c in reversed(sub.period_poly):
                     acc = acc * val + c
@@ -242,8 +263,8 @@ def test_each_period_is_a_root():
 def test_periods_sum_to_minus_one():
     for q, e in [(7, 3), (43, 7)]:
         sub = make_subfield(q, e)
-        with mpmath.workprec(120):
-            assert abs(mpmath.fsum(sub.period_values(120)) + 1) < mpmath.mpf(2) ** -80
+        with mpmath.workprec(200):
+            assert abs(mpmath.fsum(periods_oracle(sub)) + 1) < mpmath.mpf(2) ** -80
 
 
 def test_power_coords_matches_mul():

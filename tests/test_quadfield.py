@@ -15,7 +15,8 @@ import mpmath
 import pytest
 
 from capitula import quadfield
-from capitula.arith import factorize, is_squarefree, kronecker, sieve_primes
+from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, kronecker, sieve_primes
+from capitula.cyclotomic import make_subfield
 from capitula.quadfield import (
     QuadIdeal,
     class_group,
@@ -198,6 +199,13 @@ def test_class_number_matches_cycle_oracle():
     for d in SQUAREFREE_500:
         L = make_field(d)
         assert class_group(L).order == oracle_class_number(L.disc), d
+
+
+def test_per_field_caches_are_bounded():
+    # a survey computes one class group per d in its range; the caches
+    # must not grow with the range
+    for fn in (class_group, fundamental_unit, make_subfield):
+        assert fn.cache_info().maxsize == CACHE_MAXSIZE, fn.__name__
 
 
 def test_class_number_spot_values():
