@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .errors import ConsistencyError
+
 # Deterministic Miller-Rabin witnesses.  This base set is known to be
 # correct for every n < 3317044064679887385961981, which comfortably
 # covers the 64-bit range we rely on.
@@ -240,7 +242,8 @@ def sqrt_mod(a: int, q: int) -> int | None:
         r = r * b % q
         t = t * g % q
         m = i
-    assert r * r % q == a
+    if r * r % q != a:
+        raise ConsistencyError(f"Tonelli-Shanks root of {a} mod {q} does not square back")
     return min(r, q - r)
 
 

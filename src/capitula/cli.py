@@ -6,8 +6,10 @@ are self-contained: reverify_record rebuilds the field, the subfield,
 the compositum and the extended ideal from the recorded parameters
 and re-runs the exact certificate verifier with no other state.
 
-Exit codes: 0 success, 1 search or enumeration exhausted
-(inconclusive), 2 invalid input, 3 internal-consistency failure.
+Exit codes, the same for every command: 0 success, 1 search or
+enumeration exhausted (inconclusive), 2 invalid input (ValueError), 3
+internal-consistency failure (ConsistencyError).  The group class
+_Capitula holds the one mapping of failures to exit codes.
 Options may also be supplied through environment variables prefixed
 CAPITULA_ (flags take precedence), e.g. CAPITULA_CERTIFY_QBOUND.
 """
@@ -15,6 +17,7 @@ CAPITULA_ (flags take precedence), e.g. CAPITULA_CERTIFY_QBOUND.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import time
 from concurrent import futures
@@ -87,10 +90,10 @@ def _resolve_selector(cg, p: int, selector: str):
         return syl.generator_coords
     if selector == "identity":
         return cg.identity_coords()
-    try:
-        return tuple(int(t) for t in selector.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"cannot parse class selector {selector!r}") from None
+    tokens = selector.replace(",", " ").split()
+    if not all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
+        raise ValueError(f"cannot parse class selector {selector!r}")
+    return tuple(map(int, tokens))
 
 
 def _candidate_payload(cand) -> dict:
@@ -116,23 +119,18 @@ def _exhausted_payload(ex: ExhaustedSearch) -> dict:
     return {"q_bound": ex.q_bound, "scanned": ex.scanned, "failures": ex.failures}
 
 
-def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
-    """Shared body of `search`: returns (record, found_candidate_or_None)."""
-    timings = {}
+def _open_record(command, d, p, n, selector, config):
+    """Build the field, its class group and the target class, and start
+    the record every search-bearing command emits.  Returns
+    (L, cg, target, record)."""
     t0 = time.perf_counter()
-    spec = LambdaSpec(p, n, phi_scale)
     L = make_field(d)
     cg = class_group(L)
-    timings["classgroup"] = _now_ms(t0)
+    timings = {"classgroup": _now_ms(t0)}
     target = _resolve_selector(cg, p, selector)
-
-    t0 = time.perf_counter()
-    result = find_prime(L, p, n, target, spec, q_bound, jobs)
-    timings["search"] = _now_ms(t0)
-
     record = {
         "artifact_version": __version__,
-        "command": "search",
+        "command": command,
         "d": d,
         "p": p,
         "n": n,
@@ -140,20 +138,40 @@ def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
             "order": cg.order,
             "elementary_divisors": list(cg.elementary_divisors),
         },
-        "config": {
-            "class_selector": selector,
-            "q_bound": q_bound,
-            "phi_scale": phi_scale,
-            "jobs": jobs,
-        },
+        "config": {"class_selector": selector, **config},
         "timings_ms": timings,
     }
+    return L, cg, target, record
+
+
+def _find_candidate(L, spec, q, target, q_bound, jobs, record):
+    """Scan for q with find_prime (q None) or test the given q with
+    check_conditions, and write the outcome into record: q and the
+    exhausted payload, or the candidate payload.  Returns the candidate,
+    or None when the scan is exhausted."""
+    t0 = time.perf_counter()
+    if q is None:
+        result = find_prime(L, spec.p, spec.n, target, spec, q_bound, jobs)
+    else:
+        result = check_conditions(L, spec.p, spec.n, q, target, spec)
+    record["timings_ms"]["search"] = _now_ms(t0)
     if isinstance(result, ExhaustedSearch):
         record["q"] = None
         record["exhausted"] = _exhausted_payload(result)
-        return record, None
+        return None
     record.update(_candidate_payload(result))
-    return record, result
+    return result
+
+
+def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
+    """Shared body of `search`: returns (record, found_candidate_or_None)."""
+    spec = LambdaSpec(p, n, phi_scale)
+    L, _, target, record = _open_record(
+        "search", d, p, n, selector,
+        {"q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs},
+    )
+    cand = _find_candidate(L, spec, None, target, q_bound, jobs, record)
+    return record, cand
 
 
 def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doublings):
@@ -164,18 +182,18 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     (enumeration gave out).  Raises ValueError for invalid input and
     ConsistencyError if any internal cross-check trips.
     """
-    timings = {}
-    t0 = time.perf_counter()
     spec = LambdaSpec(p, n, phi_scale)
     if spec.modulus > REVERIFY_DEGREE_MAX:
         raise ValueError(
             f"p^n = {spec.modulus} is above {REVERIFY_DEGREE_MAX}, the largest "
             "degree whose records can be re-verified"
         )
-    L = make_field(d)
-    cg = class_group(L)
-    timings["classgroup"] = _now_ms(t0)
-    target = _resolve_selector(cg, p, selector)
+    L, cg, target, record = _open_record(
+        "certify", d, p, n, selector,
+        {"q": q, "q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs,
+         "c0": c0, "max_doublings": max_doublings},
+    )
+    timings = record["timings_ms"]
 
     syl = cg.p_sylow(p)
     report = herbrand_report(2, n, 0, 0, syl.w)
@@ -185,43 +203,11 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
             f"n = {n} is below the principalization threshold: the {p}-part "
             f"has order {p}^{syl.w}, so n >= {need} is required"
         )
+    record["bound_report"] = asdict(report)
 
-    record = {
-        "artifact_version": __version__,
-        "command": "certify",
-        "d": d,
-        "p": p,
-        "n": n,
-        "class_group": {
-            "order": cg.order,
-            "elementary_divisors": list(cg.elementary_divisors),
-        },
-        "bound_report": asdict(report),
-        "config": {
-            "class_selector": selector,
-            "q": q,
-            "q_bound": q_bound,
-            "phi_scale": phi_scale,
-            "jobs": jobs,
-            "c0": c0,
-            "max_doublings": max_doublings,
-        },
-        "timings_ms": timings,
-    }
-
-    t0 = time.perf_counter()
-    if q is None:
-        result = find_prime(L, p, n, target, spec, q_bound, jobs)
-        if isinstance(result, ExhaustedSearch):
-            timings["search"] = _now_ms(t0)
-            record["q"] = None
-            record["exhausted"] = _exhausted_payload(result)
-            return record, "exhausted"
-        cand = result
-    else:
-        cand = check_conditions(L, p, n, q, target, spec)
-    timings["search"] = _now_ms(t0)
-    record.update(_candidate_payload(cand))
+    cand = _find_candidate(L, spec, q, target, q_bound, jobs, record)
+    if cand is None:
+        return record, "exhausted"
     if not cand.passed:
         return record, "failed"
     if cand.q > REVERIFY_Q_MAX:
@@ -399,7 +385,24 @@ def _echo_exhausted(payload) -> None:
     click.echo(f"  failure counts: {parts}")
 
 
-@click.group(context_settings={"auto_envvar_prefix": "CAPITULA"})
+class _Capitula(click.Group):
+    """The one mapping of failures to exit codes, for every command: a
+    ValueError is invalid input (2), a ConsistencyError a tripped
+    internal cross-check (3).  Commands exit 1 themselves when a search
+    or an enumeration is inconclusive."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except ConsistencyError as exc:
+            click.echo(f"internal consistency failure: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Capitula, context_settings={"auto_envvar_prefix": "CAPITULA"})
 @click.version_option(version=__version__)
 def main():
     """Exact capitulation certificates for real quadratic ideal classes.
@@ -416,12 +419,7 @@ def main():
               help="Append a JSON record to this file.")
 def classgroup(d, out):
     """Class number and group structure of Q(sqrt(d))."""
-    try:
-        L = make_field(d)
-        cg = class_group(L)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    cg = class_group(make_field(d))
     click.echo(
         f"d = {d}: h = {cg.order}, structure {_structure_str(cg.elementary_divisors)}"
     )
@@ -465,14 +463,7 @@ def _with_options(opts):
 @_with_options(_search_options)
 def search(d, p, n, selector, qbound, phi_scale, jobs, out):
     """Scan for the smallest prime q passing all six conditions."""
-    try:
-        record, cand = run_search(d, p, n, selector, qbound, phi_scale, jobs)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except ConsistencyError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(3)
+    record, cand = run_search(d, p, n, selector, qbound, phi_scale, jobs)
     _append_record(out, record)
     cginfo = record["class_group"]
     click.echo(
@@ -497,16 +488,9 @@ def search(d, p, n, selector, qbound, phi_scale, jobs, out):
 def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doublings):
     """End-to-end principalization: find q, build M = L.F, emit an
     exact certificate that the target class becomes principal."""
-    try:
-        record, status = run_certify(
-            d, p, n, selector, q, qbound, phi_scale, jobs, c0, max_doublings
-        )
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except ConsistencyError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(3)
+    record, status = run_certify(
+        d, p, n, selector, q, qbound, phi_scale, jobs, c0, max_doublings
+    )
     _append_record(out, record)
 
     if status == "exhausted":
@@ -559,15 +543,11 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, printing each row (and appending each record) as
     soon as its field is done."""
-    try:
-        LambdaSpec(p, n)  # validates p odd prime, n >= 1
-        members = [
-            d for d in range(max(2, dmin), dmax + 1)
-            if is_squarefree(d) and class_group(make_field(d)).order % p == 0
-        ]
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    LambdaSpec(p, n)  # validates p odd prime, n >= 1
+    members = [
+        d for d in range(max(2, dmin), dmax + 1)
+        if is_squarefree(d) and class_group(make_field(d)).order % p == 0
+    ]
 
     work = [(d, p, n, qbound, phi_scale, c0, max_doublings) for d in members]
     pool = futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(work) > 1 else None
@@ -585,9 +565,6 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
                 f"{qv if qv is not None else '-':>8} {status:>10} {ms:>9.1f}"
             )
             certified += status == "ok"
-    except ConsistencyError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(3)
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -602,11 +579,7 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
 @click.option("--w", type=int, required=True, help="p-part exponent of h.")
 def bound(g_order, n, delta, d_exp, w):
     """Evaluate the cohomology-exponent bounds and the threshold."""
-    try:
-        report = herbrand_report(g_order, n, delta, d_exp, w)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    report = herbrand_report(g_order, n, delta, d_exp, w)
     click.echo(f"|G| = {report.G_order}, n = {report.n}, delta = {report.delta}, "
                f"d = {report.d_exp}, w = {report.w}")
     click.echo(f"H^0 exponent lower bound: {report.h0_exp}")
@@ -628,14 +601,9 @@ def bound(g_order, n, delta, d_exp, w):
 def auxiliary(d, p, a, selector, qbound, out):
     """Auxiliary-prime reduction: a split prime q = 1 (mod 2 p^a) whose
     class matches the target, with the resulting power statement."""
-    try:
-        L = make_field(d)
-        cg = class_group(L)
-        target = _resolve_selector(cg, p, selector)
-        result = find_auxiliary_prime(L, p, a, target, qbound)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    L = make_field(d)
+    target = _resolve_selector(class_group(L), p, selector)
+    result = find_auxiliary_prime(L, p, a, target, qbound)
     if isinstance(result, ExhaustedSearch):
         _echo_exhausted(_exhausted_payload(result))
         sys.exit(1)

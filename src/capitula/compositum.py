@@ -525,7 +525,7 @@ def certify_principal(
             for y in vectors
         )
         for _, y in ranked:
-            alpha = _mat_vec(_mat_vec(list(y), U), hnf)
+            alpha = _mat_vec(y, redrows)
             nval = exact_norm(alpha, order)
             if abs(nval) == B.norm:
                 alpha, nval = _normalize_sign(alpha, nval, order)

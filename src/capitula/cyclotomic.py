@@ -50,7 +50,6 @@ class CyclotomicSubfield:
     e: int
     f: int
     generator: int
-    coset_reps: tuple
     period_poly: tuple
     disc: int
     tmat: tuple = field(repr=False)
@@ -95,10 +94,10 @@ class CyclotomicSubfield:
         cosines of its coset (conjugate i maps eta_j to eta_{j+i mod e},
         so these are all the embedding data).  They steer the lattice
         walk only; nothing exact is derived from them."""
-        q = self.q
+        q, e, g = self.q, self.e, self.generator
         return tuple(
-            math.fsum(math.cos(2 * math.pi * h / q) for h in coset)
-            for coset in self.coset_reps
+            math.fsum(math.cos(2 * math.pi * h / q) for h in _coset(q, e, g, i))
+            for i in range(e)
         )
 
     def poly_str(self) -> str:
@@ -148,6 +147,14 @@ def _cosets(q: int, e: int, g: int) -> tuple:
     for x in range(1, q):
         buckets[ind[x]].append(x)
     return tuple(tuple(b) for b in buckets)
+
+
+def _coset(q: int, e: int, g: int, i: int):
+    """The elements g^i, g^(i+e), g^(i+2e), ... of coset i, unsorted."""
+    h, step = pow(g, i, q), pow(g, e, q)
+    for _ in range((q - 1) // e):
+        yield h
+        h = h * step % q
 
 
 def _index_table(q: int, e: int, g: int):
@@ -212,7 +219,6 @@ def _build_subfield(q: int, e: int, g: int) -> CyclotomicSubfield:
         e=e,
         f=f,
         generator=g,
-        coset_reps=_cosets(q, e, g),
         period_poly=_minimal_polynomial(e, f, tmat),
         disc=q ** (e - 1),
         tmat=tmat,

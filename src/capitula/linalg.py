@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+# the Lovasz parameter of lll_reduce_gram
+LLL_DELTA = Fraction(99, 100)
+
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of the lattice spanned by `rows`.
@@ -211,7 +214,7 @@ def gram_schmidt_int(gram: list[list[int]]):
     return d, lam
 
 
-def lll_reduce_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
+def lll_reduce_gram(gram: list[list[int]]):
     """LLL-reduce a lattice given only its (integer, positive definite)
     Gram matrix.
 
@@ -220,13 +223,13 @@ def lll_reduce_gram(gram: list[list[int]], delta: Fraction = Fraction(99, 100)):
     integral Gram-Schmidt data of `gram_schmidt_int` are updated in
     place at each size reduction and swap, so no step recomputes them.
     Size reduction rounds half up, and the output satisfies
-    |mu_ij| <= 1/2 and the Lovasz condition with the given delta.
+    |mu_ij| <= 1/2 and the Lovasz condition with LLL_DELTA.
     """
     n = len(gram)
     g = [list(r) for r in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     d, lam = gram_schmidt_int(g)
-    num, den = delta.numerator, delta.denominator
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def reduce(k, l):
         # b_k <- b_k - q b_l with q the nearest integer to mu_kl

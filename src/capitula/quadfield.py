@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import arith
+from .errors import ConsistencyError
 from .linalg import hnf_rows, smith_normal_form
 
 DESK_DISC_BOUND = 4_000_000
@@ -125,11 +126,6 @@ class QuadIdeal:
             e >>= 1
         return out
 
-    def reduced(self) -> "QuadIdeal":
-        """A reduced ideal in the same (wide) ideal class."""
-        a, b = _reduce_raw(self.field, (self.a, self.bform))
-        return QuadIdeal(self.field, a, _b_from_form(self.field, a, b))
-
 
 def _b_from_form(L: QuadraticField, a: int, bform: int) -> int:
     return ((bform - L.s) // 2) % a
@@ -144,7 +140,7 @@ def _ideal_from_rows(L: QuadraticField, rows):
     content, bc = h[0]
     aa = h[1][1]
     if aa % content or bc % content:
-        raise ArithmeticError("module is not an ideal of the maximal order")
+        raise ConsistencyError("module is not an ideal of the maximal order")
     a = aa // content
     b = (bc // content) % a
     return (a, b), content
@@ -201,7 +197,7 @@ def _reduce_raw(L: QuadraticField, f):
         if _is_reduced_raw(L, f):
             return f
         f, _ = _rho_raw(L, f)
-    raise ArithmeticError("reduction did not terminate")  # pragma: no cover
+    raise ConsistencyError("reduction did not terminate")  # pragma: no cover
 
 
 def _cycle_raw(L: QuadraticField, f0):
@@ -212,7 +208,7 @@ def _cycle_raw(L: QuadraticField, f0):
         out.append(f)
         f, _ = _rho_raw(L, f)
         if len(out) > 10**6:  # pragma: no cover
-            raise ArithmeticError("runaway reduction cycle")
+            raise ConsistencyError("runaway reduction cycle")
     return out
 
 
@@ -233,7 +229,8 @@ def prime_ideal_above(L: QuadraticField, q: int) -> QuadIdeal:
         b = 0 if L.norm_element(0, 1) % 2 == 0 else 1
         return QuadIdeal(L, 2, b)
     r = arith.sqrt_mod(L.d % q, q)
-    assert r is not None
+    if r is None:
+        raise ConsistencyError(f"{L.d} has no square root mod the split prime {q}")
     b = r if L.s == 0 else (r - 1) * pow(2, -1, q) % q
     return QuadIdeal(L, q, b % q)
 
@@ -248,7 +245,7 @@ def _prime_above_any(L: QuadraticField, p: int):
     for B in range(L.s, 2 * p, 2):
         if (B * B - L.disc) % (4 * p) == 0:
             return (p, B)
-    raise ArithmeticError(f"no prime found above {p}")  # pragma: no cover
+    raise ConsistencyError(f"no prime found above {p}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +296,19 @@ def fundamental_unit(L: QuadraticField) -> FundamentalUnit:
             break
         p_cur, q_cur = p_next, q_next
     else:  # pragma: no cover
-        raise ArithmeticError("unit search did not terminate")
-    assert G * G - D * Bc * Bc == 4 * norm
+        raise ConsistencyError("unit search did not terminate")
     u = (G - L.s * Bc) // 2
     v = Bc
-    assert L.norm_element(u, v) == norm
     if L.s:
         x, y = Fraction(G, 2), Fraction(Bc, 2)
     else:
         x, y = Fraction(G, 2), Fraction(Bc)  # sqrt(D) = 2 sqrt(d)
-    assert x * x - L.d * y * y == norm
+    if not (
+        G * G - D * Bc * Bc == 4 * norm
+        and L.norm_element(u, v) == norm
+        and x * x - L.d * y * y == norm
+    ):
+        raise ConsistencyError(f"unit of Q(sqrt({L.d})) does not have norm {norm}")
     return FundamentalUnit(x=x, y=y, norm=norm, u=u, v=v)
 
 
@@ -341,7 +341,7 @@ def is_principal(L: QuadraticField, ideal: QuadIdeal):
         step()
         guard += 1
         if guard > 10**6:  # pragma: no cover
-            raise ArithmeticError("principality walk did not terminate")
+            raise ConsistencyError("principality walk did not terminate")
     start = f
     while f[0] != 1:
         step()
@@ -349,12 +349,13 @@ def is_principal(L: QuadraticField, ideal: QuadIdeal):
             return False, None
         guard += 1
         if guard > 10**6:  # pragma: no cover
-            raise ArithmeticError("principality walk did not terminate")
+            raise ConsistencyError("principality walk did not terminate")
     gx = Fraction(x - L.s * y, den)
     gy = Fraction(2 * y, den)
     gen = (gx * ideal.scale, gy * ideal.scale)
     nrm = L.norm_element(gen[0], gen[1])
-    assert abs(nrm) == ideal.norm(), "generator norm mismatch"
+    if abs(nrm) != ideal.norm():
+        raise ConsistencyError("generator norm mismatch")
     return True, gen
 
 
@@ -388,7 +389,7 @@ class ClassGroup:
         f = _reduce_raw(self.field, (ideal.a, ideal.bform))
         cid = self._id_of.get(f)
         if cid is None:  # pragma: no cover - closure covers the whole group
-            raise ArithmeticError("reduced ideal missed by the class closure")
+            raise ConsistencyError("reduced ideal missed by the class closure")
         return self._class_coords[cid]
 
     def identity_coords(self) -> tuple[int, ...]:
@@ -473,12 +474,14 @@ def class_group(L: QuadraticField) -> ClassGroup:
         cg = ClassGroup(L, 1, (), ())
         cg._id_of = id_of
         cg._class_coords = [()] * h
-        assert h == 1
+        if h != 1:
+            raise ConsistencyError(f"{h} classes but no factor-base prime")
         return cg
 
     rel_rows = sorted(relations)
     divisors_full, v_mat, v_inv = smith_normal_form(rel_rows, k)
-    assert math.prod(divisors_full) == h, "relation lattice disagrees with class count"
+    if math.prod(divisors_full) != h:
+        raise ConsistencyError("relation lattice disagrees with class count")
 
     keep = [j for j, m in enumerate(divisors_full) if m > 1]
     divisors = tuple(divisors_full[j] for j in keep)
@@ -521,9 +524,9 @@ def _verify_generator_orders(L: QuadraticField, cg: ClassGroup):
             acc = _reduce_raw(L, _mul_raw(L, acc, base))
             principal = _cycle_contains_unit(L, acc)
             if step < m and principal and m % step == 0:
-                raise ArithmeticError(f"generator order {step}, declared {m}")
+                raise ConsistencyError(f"generator order {step}, declared {m}")
             if step == m and not principal:
-                raise ArithmeticError(f"generator does not have order {m}")
+                raise ConsistencyError(f"generator does not have order {m}")
 
 
 def _cycle_contains_unit(L: QuadraticField, f_reduced) -> bool:

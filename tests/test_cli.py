@@ -6,15 +6,17 @@ inconsistency), and re-verifies emitted certificate records from their
 JSON alone.
 """
 
+import ast
 import functools
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capitula import cli
+from capitula import cli, quadfield
 from capitula.cli import main, reverify_record, run_certify, run_search
 from capitula.errors import ConsistencyError
 
@@ -416,3 +418,67 @@ def test_certify_refuses_what_it_could_not_reverify():
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# one exit-code contract for every command
+
+FAILING_COMMANDS = {
+    "classgroup": ["classgroup", "--d", "79"],
+    "search": ["search", "--d", "79", "--p", "3"],
+    "certify": ["certify", "--d", "79", "--p", "3"],
+    "survey": ["survey", "--dmin", "79", "--dmax", "79", "--p", "3"],
+    "auxiliary": ["auxiliary", "--d", "79", "--p", "3"],
+}
+
+
+@pytest.mark.parametrize("args", FAILING_COMMANDS.values(), ids=FAILING_COMMANDS.keys())
+def test_consistency_failure_exits_3(runner, monkeypatch, args):
+    def class_group_fails(L):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(cli, "class_group", class_group_fails)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert "internal consistency failure: injected" in result.output
+
+
+INVALID_INPUTS = {
+    "classgroup": ["classgroup", "--d", "1"],
+    "search": ["search", "--d", "79", "--p", "3", "--phi-scale", "2"],
+    "certify": ["certify", "--d", "79", "--p", "3", "--n", "4"],
+    "survey": ["survey", "--dmax", "10", "--p", "9"],
+    "bound": ["bound", "--g-order", "2", "--n", "0", "--w", "1"],
+    "auxiliary": ["auxiliary", "--d", "2", "--p", "3"],
+}
+
+
+@pytest.mark.parametrize("args", INVALID_INPUTS.values(), ids=INVALID_INPUTS.keys())
+def test_invalid_input_exits_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("error: ")
+
+
+def test_tripped_class_group_cross_check_exits_3(runner, monkeypatch):
+    real = quadfield.smith_normal_form
+
+    def wrong_divisors(rows, k):
+        divisors, v_mat, v_inv = real(rows, k)
+        return [1] * len(divisors), v_mat, v_inv
+
+    monkeypatch.setattr(quadfield, "smith_normal_form", wrong_divisors)
+    quadfield.class_group.cache_clear()
+    with pytest.raises(ConsistencyError, match="relation lattice"):
+        quadfield.class_group(quadfield.make_field(79))
+    result = runner.invoke(main, ["classgroup", "--d", "79"])
+    assert result.exit_code == 3
+    assert "internal consistency failure: relation lattice" in result.output
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips asserts; every cross-check must raise instead
+    package = Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name

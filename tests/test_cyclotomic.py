@@ -10,6 +10,7 @@ polynomial itself, not just its printed form.
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -18,6 +19,7 @@ from capitula.arith import is_prime, sieve_primes
 from capitula.cyclotomic import (
     ConsistencyError,
     _build_subfield,
+    _cosets,
     make_subfield,
     period_cosets,
     poly_str,
@@ -149,8 +151,8 @@ def test_polynomial_independent_of_primitive_root():
         for g in others[1:3]:
             alt = _build_subfield(q, e, g)
             assert alt.period_poly == canonical.period_poly
-            assert set(map(frozenset, alt.coset_reps)) == set(
-                map(frozenset, canonical.coset_reps)
+            assert set(map(frozenset, _cosets(q, e, g))) == set(
+                map(frozenset, period_cosets(q, e))
             )
 
 
@@ -214,7 +216,10 @@ def periods_oracle(sub):
     its coset."""
     with mpmath.workprec(200):
         step = 2 * mpmath.pi / sub.q
-        return [mpmath.fsum(mpmath.cos(step * h) for h in coset) for coset in sub.coset_reps]
+        return [
+            mpmath.fsum(mpmath.cos(step * h) for h in coset)
+            for coset in period_cosets(sub.q, sub.e)
+        ]
 
 
 def test_period_values_match_mpmath_oracle():
@@ -228,6 +233,19 @@ def test_period_values_match_mpmath_oracle():
         with mpmath.workprec(200):
             for val, exact in zip(floats, periods_oracle(sub), strict=True):
                 assert abs(mpmath.mpf(val) - exact) <= 1e-15 * f
+
+
+def test_subfield_keeps_no_coset_table():
+    # the cosets hold all q - 1 residues; the subfield keeps only the
+    # e x e multiplication table and the polynomial
+    make_subfield.cache_clear()
+    tracemalloc.start()
+    try:
+        make_subfield(99991, 3)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 500_000
 
 
 def test_mul_coords_against_floats():
