@@ -91,7 +91,7 @@ def _resolve_selector(cg, p: int, selector: str):
     if selector == "identity":
         return cg.identity_coords()
     tokens = selector.replace(",", " ").split()
-    if not all(re.fullmatch(r"[+-]?\d+", t) for t in tokens):
+    if not all(re.fullmatch(r"[+-]?\d+(?:_\d+)*", t) for t in tokens):
         raise ValueError(f"cannot parse class selector {selector!r}")
     return tuple(map(int, tokens))
 

@@ -95,8 +95,9 @@ class CyclotomicSubfield:
         so these are all the embedding data).  They steer the lattice
         walk only; nothing exact is derived from them."""
         q, e, g = self.q, self.e, self.generator
+        cos, tau = math.cos, 2 * math.pi
         return tuple(
-            math.fsum(math.cos(2 * math.pi * h / q) for h in _coset(q, e, g, i))
+            math.fsum([cos(tau * h / q) for h in _coset(q, e, g, i)])
             for i in range(e)
         )
 
@@ -142,11 +143,7 @@ def _validate(q: int, e: int) -> None:
 
 
 def _cosets(q: int, e: int, g: int) -> tuple:
-    ind = _index_table(q, e, g)
-    buckets = [[] for _ in range(e)]
-    for x in range(1, q):
-        buckets[ind[x]].append(x)
-    return tuple(tuple(b) for b in buckets)
+    return tuple(tuple(sorted(_coset(q, e, g, i))) for i in range(e))
 
 
 def _coset(q: int, e: int, g: int, i: int):

@@ -115,6 +115,20 @@ def test_search_rejects_unparsable_selector(runner):
     assert "cannot parse" in result.output
 
 
+@pytest.mark.parametrize(
+    "token", ["7", "+7", "-7", "007", "1_0", "٣", "1__0", "_1", "1_", "1.0", "x"]
+)
+def test_selector_tokens_are_what_int_accepts(token):
+    cg = quadfield.class_group(quadfield.make_field(79))
+    try:
+        expected = (int(token),)
+    except ValueError:
+        with pytest.raises(ValueError, match="cannot parse"):
+            cli._resolve_selector(cg, 3, token)
+    else:
+        assert cli._resolve_selector(cg, 3, token) == expected
+
+
 # ---------------------------------------------------------------------------
 # certify
 
