@@ -51,9 +51,15 @@ from .quadfield import class_group, is_principal, make_field, prime_ideal_above
 
 # Ceilings of re-verification.  A record above them is refused before
 # anything is built, which bounds the cost of reverify_record on any
-# input: the subfield is built in O(q) steps, and M has degree 2 p^n.
+# input: the subfield is built in O(q) steps, M has degree 2 p^n, and
+# no certificate integer is longer than REVERIFY_INT_BITS, so the exact
+# norm works on numbers of bounded size.  The bit ceiling is far above
+# any coordinate a T2 search returns, and below the ~14,000 bits of the
+# 4300-digit integers CPython's json reads by default; at degree 54 the
+# norm of 1024-bit coordinates takes seconds.
 REVERIFY_Q_MAX = 10**6
 REVERIFY_DEGREE_MAX = 27
+REVERIFY_INT_BITS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,9 @@ def _well_formed(record) -> bool:
         and type(record.get("ideal_hnf")) is list
     ):
         return False
+    ints = [*cert["alpha"], *cert["containment"], cert["norm_alpha"], cert["ideal_norm"]]
+    if any(v.bit_length() > REVERIFY_INT_BITS for v in ints):
+        return False
     d, p, n, q = record["d"], record["p"], record["n"], record["q"]
     disc = d if d % 4 == 1 else 4 * d
     if not (3 <= p <= REVERIFY_DEGREE_MAX and is_prime(p)):
@@ -309,10 +318,12 @@ def reverify_record(record) -> bool:
     verdict and never an exception.  A record is refused (False) unless
     it is a JSON object carrying integer d, p, n, q and ideal_norm, a
     list ideal_hnf and a certificate with integer lists alpha and
-    containment and integers norm_alpha and ideal_norm, with d >= 2
-    squarefree and disc(d) <= DESK_DISC_BOUND, p an odd prime and
-    p^n <= REVERIFY_DEGREE_MAX (27), and q a prime <= REVERIFY_Q_MAX
-    (10**6) with q = 1 (mod p^n) that splits in Q(sqrt(d)).
+    containment and integers norm_alpha and ideal_norm, none of the
+    certificate's integers longer than REVERIFY_INT_BITS (1024) bits,
+    with d >= 2 squarefree and disc(d) <= DESK_DISC_BOUND, p an odd
+    prime and p^n <= REVERIFY_DEGREE_MAX (27), and q a prime <=
+    REVERIFY_Q_MAX (10**6) with q = 1 (mod p^n) that splits in
+    Q(sqrt(d)).
     """
     if not _well_formed(record):
         return False

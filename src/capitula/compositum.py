@@ -2,20 +2,24 @@
 
 Since the quadratic discriminant and the conductor q are coprime, the
 tensor product of the two rings of integers is already the maximal
-order of M: a Z-basis is {w_a eta_i} with w_0 = 1, w_1 = omega from L
-and the period basis eta_0..eta_{e-1} of F.  Multiplication splits
-into the quadratic relation for omega and the period structure
-constants, so the whole table is exact integers, and so is the trace
-form: Tr_M(w_a eta_i . w_b eta_j) factors through Tr_L x Tr_F.
+order of M = L (x) F: a Z-basis is {w_a eta_i} with w_0 = 1,
+w_1 = omega from L and the period basis eta_0..eta_{e-1} of F.  Every
+operation factors through the two small rings, and no 2e x 2e table
+is stored.  A product splits an element as x0 + x1 omega with x0, x1
+in F and needs only omega^2 = s omega - N(omega) and the period
+multiplication of F.  The trace form is the Kronecker product of the
+2 x 2 trace form of {1, omega} and the e x e one of the periods.  The
+norm goes through the tower N_M = N_F o N_{M/F}: a quadratic relative
+norm in F, then an e x e determinant.
 
 The generator search is lattice business.  An ideal of L extended to
 M is a full-rank sublattice in Hermite normal form; its Gram matrix
 under the trace form (the T2 quadratic form, totally real field) is
 reduced by all-integer LLL and short vectors are enumerated in growing
 T2 radius, both driven by the same integral Gram-Schmidt data.  Every
-candidate is judged purely in integers: the norm is a Bareiss
-determinant of the multiplication matrix, and the containment witness
-is re-derived by back-substitution against the HNF rows.
+candidate is judged purely in integers: the norm is the tower norm
+above, and the containment witness is re-derived by back-substitution
+against the HNF rows.
 Floating-point embeddings, plain `math` floats built inside
 `certify_principal`, only steer the search: a band on the approximate
 norm pre-screens candidates, and a float lower bound on that norm lets
@@ -42,71 +46,56 @@ ROW_SKIP_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class CompositumOrder:
-    """Maximal order of M = L.F in the tensor basis.
+    """Maximal order of M = L (x) F in the tensor basis.
 
-    Basis index r = a*e + i means w_a eta_i.  mult_table[r][c] is the
-    coordinate vector of the product of basis elements r and c; gram
-    is the exact trace-form matrix; one_coords represents 1 (the
-    periods sum to -1, so it is not a basis vector itself).
+    Basis index r = a*e + i means w_a eta_i, so a vector x splits as
+    x0 + x1 w with x0 = x[:e] and x1 = x[e:] in F.  Products factor
+    through w^2 = s w - N(w) and F.mul_coords; gram is the exact trace
+    form, the Kronecker product of the trace forms of {1, w} and of
+    the periods; one_coords represents 1 (the periods sum to -1, so it
+    is not a basis vector itself).
     """
 
     L: QuadraticField
     F: CyclotomicSubfield
     degree: int
-    mult_table: tuple
     gram: tuple
     disc: int
     one_coords: tuple
 
     def mul(self, x, y):
         """Product of two coordinate vectors, exactly."""
-        n = self.degree
-        out = [0] * n
-        for r in range(n):
-            xr = x[r]
-            if not xr:
-                continue
-            row = self.mult_table[r]
-            for c in range(n):
-                yc = y[c]
-                if not yc:
-                    continue
-                w = xr * yc
-                vec = row[c]
-                for k in range(n):
-                    v = vec[k]
-                    if v:
-                        out[k] += w * v
-        return out
+        e = self.F.e
+        fmul = self.F.mul_coords
+        x0, x1, y0, y1 = x[:e], x[e:], y[:e], y[e:]
+        a, b = fmul(x0, y0), fmul(x1, y1)
+        c, d = fmul(x0, y1), fmul(x1, y0)
+        s, nw = self.L.s, self.L.norm_omega()
+        # (x0 + x1 w)(y0 + y1 w) = a - nw b + (c + d + s b) w
+        return [a[i] - nw * b[i] for i in range(e)] + [
+            c[i] + d[i] + s * b[i] for i in range(e)
+        ]
 
     def trace(self, x) -> int:
         # Tr(w_a eta_i) = Tr_L(w_a) * Tr_F(eta_i) = -(2 if a == 0 else s)
         e = self.F.e
-        tl = (2, self.L.s)
-        return -sum(
-            tl[r // e] * x[r] for r in range(self.degree) if x[r]
-        )
+        return -2 * sum(x[:e]) - self.L.s * sum(x[e:])
 
     def scalar_coords(self, k: int) -> tuple:
         return tuple(k * c for c in self.one_coords)
 
     def t2(self, x) -> int:
         """Trace of x^2: the T2 form, since M is totally real."""
-        g = self.gram
-        n = self.degree
-        total = 0
-        for r in range(n):
-            xr = x[r]
-            if not xr:
-                continue
-            row = g[r]
-            total += xr * sum(row[c] * x[c] for c in range(n))
-        return total
+        return _qform(self.gram, x, x)
 
 
-def _quad_pair_product(x1, y1, x2, y2, s, nw):
-    # (x1 + y1 w)(x2 + y2 w) with w^2 = s w - nw
-    return (x1 * x2 - nw * y1 * y2, x1 * y2 + y1 * x2 + s * y1 * y2)
+def _qform(g, u, v) -> int:
+    """u G v^t for a Gram matrix G, exactly."""
+    total = 0
+    for ur, row in zip(u, g):
+        if ur:
+            total += ur * sum(gc * vc for gc, vc in zip(row, v) if vc)
+    return total
 
 
 def build_compositum(L: QuadraticField, F: CyclotomicSubfield) -> CompositumOrder:
@@ -124,71 +113,27 @@ def build_compositum(L: QuadraticField, F: CyclotomicSubfield) -> CompositumOrde
     e = F.e
     n = 2 * e
     s = L.s
-    nw = L.norm_omega()
-
-    unit = [[1 if k == i else 0 for k in range(e)] for i in range(e)]
-    pp = [[tuple(F.mul_coords(unit[i], unit[j])) for j in range(e)] for i in range(e)]
-
-    # quadratic products in the {1, w} basis
-    qp = {
-        (0, 0): (1, 0),
-        (0, 1): (0, 1),
-        (1, 0): (0, 1),
-        (1, 1): (-nw, s),
-    }
-
-    table = []
-    for r in range(n):
-        a, i = divmod(r, e)
-        row = []
-        for c in range(n):
-            b, j = divmod(c, e)
-            c0, c1 = qp[(a, b)]
-            per = pp[i][j]
-            vec = [0] * n
-            for l in range(e):
-                pl = per[l]
-                if pl:
-                    if c0:
-                        vec[l] += c0 * pl
-                    if c1:
-                        vec[e + l] += c1 * pl
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    table = tuple(table)
-
-    one = tuple([-1] * e + [0] * e)
-
-    # trace-form Gram and discriminant, exactly:
-    # Tr(w_a eta_i) = Tr_L(w_a) Tr_F(eta_i) = -(2 if a == 0 else s)
-    tvec = [-2] * e + [-s] * e
-    gram = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(r, n):
-            t = sum(tvec[k] * v for k, v in enumerate(table[r][c]) if v)
-            gram[r][c] = gram[c][r] = t
-    gram = tuple(tuple(row) for row in gram)
-    disc = det_bareiss([list(row) for row in gram])
+    # Tr_L on {1, w} (w^2 = s w - N(w)) times Tr_F on the periods
+    gram_l = ((2, s), (s, s * s - 2 * L.norm_omega()))
+    gram_f = F.trace_gram()
+    gram = tuple(
+        tuple(gram_l[r // e][c // e] * gram_f[r % e][c % e] for c in range(n))
+        for r in range(n)
+    )
+    disc = det_bareiss(gram)
     expected = L.disc**e * F.q ** (2 * (e - 1))
     if disc != expected:
         raise ConsistencyError(
             f"trace-form discriminant {disc} != disc(L)^e * q^(2e-2) = {expected}"
         )
 
-    order = CompositumOrder(
-        L=L,
-        F=F,
-        degree=n,
-        mult_table=table,
-        gram=gram,
-        disc=disc,
-        one_coords=one,
-    )
+    one = tuple([-1] * e + [0] * e)
+    order = CompositumOrder(L=L, F=F, degree=n, gram=gram, disc=disc, one_coords=one)
 
     # identity sanity: 1 * b_r = b_r for every basis vector
     for r in range(n):
         b = [1 if k == r else 0 for k in range(n)]
-        if order.mul(list(one), b) != b:
+        if order.mul(one, b) != b:
             raise ConsistencyError("1 does not act as identity in the order")
     return order
 
@@ -238,7 +183,8 @@ def extend_ideal(I: QuadIdeal, order: CompositumOrder) -> IdealLatticeBasis:
     rows = []
     for x, y in gens:
         for a in (0, 1):
-            ga = (x, y) if a == 0 else _quad_pair_product(x, y, 0, 1, s, nw)
+            # (x + y w) w = -N(w) y + (x + s y) w
+            ga = (x, y) if a == 0 else (-nw * y, x + s * y)
             for i in range(e):
                 row = [0] * n
                 row[i] = ga[0]
@@ -429,14 +375,21 @@ def _enumerate_short(gram, radius_sq, cap, filt):
 
 
 def exact_norm(alpha, order: CompositumOrder) -> int:
-    """Field norm of the element with the given coordinates: the
-    determinant of its multiplication matrix, as an exact integer."""
-    n = order.degree
-    rows = []
-    for r in range(n):
-        b = [1 if k == r else 0 for k in range(n)]
-        rows.append(order.mul(list(alpha), b))
-    return det_bareiss(rows)
+    """Field norm of the element with the given coordinates, as an
+    exact integer, through the tower N_M = N_F o N_{M/F}.  The conjugate
+    of w over F is s - w, so alpha = x + y w has relative norm
+    x^2 + s x y + N(w) y^2 = x (x + s y) + N(w) y^2 in F, and N_F of
+    that is the determinant of its e x e multiplication matrix."""
+    F = order.F
+    e = F.e
+    x, y = alpha[:e], alpha[e:]
+    s, nw = order.L.s, order.L.norm_omega()
+    xs = F.mul_coords(x, [xi + s * yi for xi, yi in zip(x, y)])
+    yy = F.mul_coords(y, y)
+    rel = [a + nw * b for a, b in zip(xs, yy)]
+    return det_bareiss(
+        [F.mul_coords(rel, [1 if k == r else 0 for k in range(e)]) for r in range(e)]
+    )
 
 
 def _solve_containment(hnf, alpha):
@@ -496,9 +449,7 @@ def certify_principal(
     n = order.degree
     hnf = [list(r) for r in B.hnf]
 
-    gram_i = [
-        [_row_gram(order, hnf[r], hnf[c]) for c in range(n)] for r in range(n)
-    ]
+    gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
     red_gram, U = lll_reduce_gram(gram_i)
 
     # float embedding rows of the reduced basis, for the norm band
@@ -520,10 +471,7 @@ def certify_principal(
             red_gram, radius_sq, schedule.max_vectors, filt
         )
         rounds.append(EnumerationRound(radius_sq, visited, len(vectors), skipped))
-        ranked = sorted(
-            (sum(y[r] * red_gram[r][c] * y[c] for r in range(n) for c in range(n)), y)
-            for y in vectors
-        )
+        ranked = sorted((_qform(red_gram, y, y), y) for y in vectors)
         for _, y in ranked:
             alpha = _mat_vec(y, redrows)
             nval = exact_norm(alpha, order)
@@ -558,19 +506,6 @@ def certify_principal(
         enumerated=sum(r.visited for r in rounds),
         rounds=tuple(rounds),
     )
-
-
-def _row_gram(order, u, v):
-    g = order.gram
-    n = order.degree
-    total = 0
-    for r in range(n):
-        ur = u[r]
-        if not ur:
-            continue
-        row = g[r]
-        total += ur * sum(row[c] * v[c] for c in range(n) if v[c])
-    return total
 
 
 def _normalize_sign(alpha, nval, order):

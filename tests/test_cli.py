@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capitula import cli, quadfield
+from capitula import cli, compositum, quadfield
 from capitula.cli import main, reverify_record, run_certify, run_search
 from capitula.errors import ConsistencyError
 
@@ -422,6 +422,22 @@ def test_reverify_refuses_out_of_range_parameters():
         assert reverify_record({**clean, key: value}) is False, (key, value)
     for key in ("d", "p", "n", "q", "ideal_hnf", "ideal_norm", "certificate"):
         assert reverify_record({k: v for k, v in clean.items() if k != key}) is False
+
+
+def test_reverify_refuses_huge_certificate_before_any_arithmetic(monkeypatch):
+    # self-consistent but huge: k times the first HNF row added to alpha
+    # and k to the first containment coefficient, with a 40,000-digit k
+    record = json.loads(genuine_79_json())
+    cert = record["certificate"]
+    k = 10**40_000 + 1
+    cert["alpha"] = [a + k * h for a, h in zip(cert["alpha"], record["ideal_hnf"][0])]
+    cert["containment"][0] += k
+
+    def refuse(*args):
+        raise AssertionError("exact_norm reached on an oversized certificate")
+
+    monkeypatch.setattr(compositum, "exact_norm", refuse)
+    assert reverify_record(record) is False
 
 
 def test_certify_refuses_what_it_could_not_reverify():

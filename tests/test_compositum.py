@@ -1,12 +1,15 @@
 """Tests for the compositum order, ideal lattices, and certificates.
 
-The multiplication table is cross-checked three ways: against the
-ring axioms on random elements, against the trace form it induces,
-and against the float embeddings (product of conjugates vs Bareiss
-norm).  Certificates are exercised end to end on the worked d = 79
+The factored product is cross-checked three ways, at degrees 6, 10
+and 18: against the ring axioms on random elements, against the
+Kronecker trace form, and against the float embeddings (product of
+conjugates vs the tower norm).  The tower norm is also checked against
+its definition, the determinant of the multiplication matrix.
+Certificates are exercised end to end on the worked d = 79
 capitulation and then attacked by corruption.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -42,12 +45,39 @@ from capitula.quadfield import (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def order_of(d, q, e):
+    return build_compositum(make_field(d), make_subfield(q, e))
+
+
 def order_79_13():
-    return build_compositum(make_field(79), make_subfield(13, 3))
+    return order_of(79, 13, 3)
 
 
 def order_2_7():
-    return build_compositum(make_field(2), make_subfield(7, 3))
+    return order_of(2, 7, 3)
+
+
+# degree 10 and degree 18: the factored product at e = 5 and e = 9
+ORDERS_HIGH = ((401, 41, 5), (79, 199, 9))
+
+
+def orders(*low):
+    """The named degree-6 orders followed by the two higher-degree ones."""
+    return [order_of(*key) for key in (*low, *ORDERS_HIGH)]
+
+
+def reference_norm(alpha, order):
+    """The norm by its definition: the determinant of the 2e x 2e
+    multiplication matrix, one row alpha * b_r per basis vector."""
+    n = order.degree
+    return det_bareiss(
+        [order.mul(list(alpha), [1 if k == r else 0 for k in range(n)]) for r in range(n)]
+    )
+
+
+def random_vector(rng, n, bound):
+    return [rng.randint(-bound, bound) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -70,50 +100,50 @@ def test_coprimality_guard():
 
 
 def test_one_acts_as_identity():
-    order = order_79_13()
     rng = random.Random(3)
-    one = list(order.one_coords)
-    for _ in range(10):
-        x = [rng.randint(-5, 5) for _ in range(6)]
-        assert order.mul(one, x) == x
-        assert order.mul(x, one) == x
+    for order in orders((79, 13, 3)):
+        one = list(order.one_coords)
+        for _ in range(10):
+            x = random_vector(rng, order.degree, 5)
+            assert order.mul(one, x) == x
+            assert order.mul(x, one) == x
 
 
 def test_mul_commutes_on_basis():
     for order in (order_79_13(), order_2_7()):
         n = order.degree
+        basis = [[1 if k == r else 0 for k in range(n)] for r in range(n)]
         for r in range(n):
             for c in range(n):
-                assert order.mult_table[r][c] == order.mult_table[c][r]
+                assert order.mul(basis[r], basis[c]) == order.mul(basis[c], basis[r])
 
 
 def test_mul_associative_on_random_triples():
-    order = order_79_13()
     rng = random.Random(41)
-    for _ in range(1000):
-        x, y, z = (
-            [rng.randint(-4, 4) for _ in range(6)] for _ in range(3)
-        )
-        assert order.mul(order.mul(x, y), z) == order.mul(x, order.mul(y, z))
+    for order, trials in zip(orders((79, 13, 3)), (1000, 200, 50)):
+        n = order.degree
+        for _ in range(trials):
+            x, y, z = (random_vector(rng, n, 4) for _ in range(3))
+            assert order.mul(order.mul(x, y), z) == order.mul(x, order.mul(y, z))
 
 
 def test_gram_is_trace_of_products():
-    order = order_79_13()
-    n = order.degree
-    for r in range(n):
-        br = [1 if k == r else 0 for k in range(n)]
-        for c in range(n):
-            bc = [1 if k == c else 0 for k in range(n)]
-            assert order.gram[r][c] == order.trace(order.mul(br, bc))
+    for order in orders((79, 13, 3)):
+        n = order.degree
+        for r in range(n):
+            br = [1 if k == r else 0 for k in range(n)]
+            for c in range(n):
+                bc = [1 if k == c else 0 for k in range(n)]
+                assert order.gram[r][c] == order.trace(order.mul(br, bc))
 
 
 def test_t2_equals_trace_of_square():
-    order = order_2_7()
     rng = random.Random(8)
-    for _ in range(50):
-        x = [rng.randint(-6, 6) for _ in range(6)]
-        assert order.t2(x) == order.trace(order.mul(x, x))
-        assert order.t2(x) >= 0  # totally real: T2 is positive definite
+    for order in orders((2, 7, 3)):
+        for _ in range(50):
+            x = random_vector(rng, order.degree, 6)
+            assert order.t2(x) == order.trace(order.mul(x, x))
+            assert order.t2(x) >= 0  # totally real: T2 is positive definite
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +151,24 @@ def test_t2_equals_trace_of_square():
 
 
 def test_norm_is_multiplicative():
-    order = order_79_13()
     rng = random.Random(17)
-    for _ in range(200):
-        x = [rng.randint(-3, 3) for _ in range(6)]
-        y = [rng.randint(-3, 3) for _ in range(6)]
-        assert exact_norm(order.mul(x, y), order) == exact_norm(x, order) * exact_norm(
-            y, order
-        )
+    for order in orders((79, 13, 3)):
+        n = order.degree
+        for _ in range(200):
+            x = random_vector(rng, n, 3)
+            y = random_vector(rng, n, 3)
+            assert exact_norm(order.mul(x, y), order) == exact_norm(
+                x, order
+            ) * exact_norm(y, order)
+
+
+def test_tower_norm_matches_multiplication_matrix():
+    rng = random.Random(19)
+    for order in orders((79, 13, 3), (2, 7, 3)):
+        for bits in (1, 8, 64, 200):
+            for _ in range(5):
+                x = random_vector(rng, order.degree, 2**bits)
+                assert exact_norm(x, order) == reference_norm(x, order)
 
 
 def test_norm_of_scalars_and_subfield_elements():
@@ -149,14 +189,18 @@ def test_norm_of_scalars_and_subfield_elements():
 
 
 def test_embeddings_reproduce_the_norm():
-    order = order_79_13()
     rng = random.Random(31)
-    for _ in range(25):
-        x = [rng.randint(-5, 5) for _ in range(6)]
-        prod = 1.0
-        for row in _embeddings(order):
-            prod *= math.fsum(row[c] * x[c] for c in range(6))
-        assert round(prod) == exact_norm(x, order)
+    for order in orders((79, 13, 3)):
+        n = order.degree
+        rows = _embeddings(order)
+        for _ in range(25):
+            x = random_vector(rng, n, 5)
+            prod = 1.0
+            for row in rows:
+                prod *= math.fsum(row[c] * x[c] for c in range(n))
+            nval = exact_norm(x, order)
+            # exact up to rounding at degree 6; relative beyond 2^53
+            assert abs(prod - nval) < max(0.5, 1e-9 * abs(nval))
 
 
 # ---------------------------------------------------------------------------
