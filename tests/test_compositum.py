@@ -195,12 +195,19 @@ def test_embeddings_reproduce_the_norm():
         rows = _embeddings(order)
         for _ in range(25):
             x = random_vector(rng, n, 5)
-            prod = 1.0
+            prod, cond = 1.0, 0.0
             for row in rows:
-                prod *= math.fsum(row[c] * x[c] for c in range(n))
+                terms = [row[c] * x[c] for c in range(n)]
+                value = math.fsum(terms)
+                prod *= value
+                cond += math.fsum(map(abs, terms)) / abs(value)
             nval = exact_norm(x, order)
-            # exact up to rounding at degree 6; relative beyond 2^53
-            assert abs(prod - nval) < max(0.5, 1e-9 * abs(nval))
+            if abs(nval) < 2**53:
+                assert round(prod) == nval
+            else:
+                # a double cannot hold N: the product's relative error is a
+                # few ulp times the summed condition numbers of the conjugates
+                assert abs(prod - nval) <= 4 * 2.0**-52 * cond * abs(nval)
 
 
 # ---------------------------------------------------------------------------
