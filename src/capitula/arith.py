@@ -249,14 +249,19 @@ def sqrt_mod(a: int, q: int) -> int | None:
 
 def mult_order(a: int, q: int) -> int:
     """Multiplicative order of a mod prime q.  Requires gcd(a, q) = 1."""
-    a %= q
-    if a == 0:
-        raise ValueError(f"{a} is not invertible mod {q}")
-    order = q - 1
-    for p in factorize(q - 1):
-        while order % p == 0 and pow(a, order // p, q) == 1:
-            order //= p
-    return order
+    # the (q - 1)-th power residue symbol of a is a itself
+    return power_residue_symbol(a, q, q - 1).order
+
+
+def valuation(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    if n == 0 or p < 2:
+        raise ValueError(f"no {p}-adic valuation of {n}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,7 @@ def delta_from_phi_image(index_r: int, p: int) -> int:
         raise ValueError("index must be a positive integer")
     if not arith.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    delta = 0
-    while index_r % p == 0:
-        index_r //= p
-        delta += 1
-    return delta
+    return arith.valuation(index_r, p)
 
 
 def required_n(w: int, delta: int, d_exp: int) -> int:

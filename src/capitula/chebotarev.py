@@ -67,12 +67,8 @@ class LambdaSpec:
             raise ValueError("p must be an odd prime")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        scale = self.phi_scale
-        if scale < 1 or scale > self.p**self.n:
-            raise ValueError("phi_scale must be a power of p dividing p^n")
-        while scale % self.p == 0:
-            scale //= self.p
-        if scale != 1:
+        # the divisors of p^n are exactly the powers p^0, ..., p^n
+        if self.phi_scale < 1 or self.p**self.n % self.phi_scale:
             raise ValueError("phi_scale must be a power of p dividing p^n")
 
     @property
@@ -216,10 +212,7 @@ def check_conditions(
 def _require_p_sylow(cg, p, target_class) -> tuple:
     target = _normalize_class(cg, target_class)
     order = cg.order_of(target)
-    reduced = order
-    while reduced % p == 0:
-        reduced //= p
-    if reduced != 1:
+    if order != p ** arith.valuation(order, p):
         raise ValueError(
             f"target class {target} has order {order}, not a power of {p}"
         )

@@ -1,4 +1,5 @@
-"""Command-line driver: search, certify, survey, classgroup, bound.
+"""Command-line driver: search, certify, survey, classgroup, bound,
+auxiliary.
 
 Human-readable output goes to stdout; structured records go to the
 file named by --out, one JSON object per line, append-only.  Records
@@ -26,7 +27,7 @@ from dataclasses import asdict
 import click
 
 from . import __version__
-from .arith import is_prime, is_squarefree, kronecker
+from .arith import is_prime, is_squarefree
 from .bounds import herbrand_report, required_n
 from .chebotarev import (
     DEFAULT_Q_BOUND,
@@ -52,11 +53,16 @@ from .quadfield import class_group, is_principal, make_field, prime_ideal_above
 # Ceilings of re-verification.  A record above them is refused before
 # anything is built, which bounds the cost of reverify_record on any
 # input: the subfield is built in O(q) steps, M has degree 2 p^n, and
-# no certificate integer is longer than REVERIFY_INT_BITS, so the exact
-# norm works on numbers of bounded size.  The bit ceiling is far above
-# any coordinate a T2 search returns, and below the ~14,000 bits of the
-# 4300-digit integers CPython's json reads by default; at degree 54 the
-# norm of 1024-bit coordinates takes seconds.
+# the certificate's integers are short, so the exact norm works on
+# numbers of bounded size.  norm_alpha and ideal_norm may have
+# REVERIFY_INT_BITS bits (at degree 54 the ideal norm q^27 reaches
+# ~540 bits); the coordinates of alpha and containment may have
+# REVERIFY_INT_BITS * 6 // (2 p^n) bits, 1024 at degree 6 and 113 at
+# degree 54, so that the cost of the exact norm, which grows with the
+# degree and the coordinate size, stays at desk scale (a 54 x 54 norm
+# of 1024-bit coordinates takes seconds).  Every ceiling is far above
+# what a T2 search returns, and below the ~14,000 bits of the
+# 4300-digit integers CPython's json reads by default.
 REVERIFY_Q_MAX = 10**6
 REVERIFY_DEGREE_MAX = 27
 REVERIFY_INT_BITS = 1024
@@ -189,6 +195,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     ConsistencyError if any internal cross-check trips.
     """
     spec = LambdaSpec(p, n, phi_scale)
+    schedule = RadiusSchedule(c0=c0, max_doublings=max_doublings)
     if spec.modulus > REVERIFY_DEGREE_MAX:
         raise ValueError(
             f"p^n = {spec.modulus} is above {REVERIFY_DEGREE_MAX}, the largest "
@@ -250,9 +257,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     record["principal_in_L"] = principal
 
     t0 = time.perf_counter()
-    outcome = certify_principal(
-        lattice, order, RadiusSchedule(c0=c0, max_doublings=max_doublings)
-    )
+    outcome = certify_principal(lattice, order, schedule)
     timings["certify"] = _now_ms(t0)
     if isinstance(outcome, NotFound):
         record["certificate"] = None
@@ -279,7 +284,8 @@ def _well_formed(record) -> bool:
     """Shape and range checks of reverify_record, made before anything
     is built: cheap, and bounded on any JSON value.  That d makes a
     field (d >= 2, disc(d) <= DESK_DISC_BOUND, d squarefree) is left to
-    make_field, which checks the bound before it factors d."""
+    make_field, which checks the bound before it factors d, and that q
+    is a prime splitting in it to prime_ideal_above."""
     if not isinstance(record, dict):
         return False
     cert = record.get("certificate")
@@ -292,22 +298,18 @@ def _well_formed(record) -> bool:
         and type(record.get("ideal_hnf")) is list
     ):
         return False
-    ints = [*cert["alpha"], *cert["containment"], cert["norm_alpha"], cert["ideal_norm"]]
-    if any(v.bit_length() > REVERIFY_INT_BITS for v in ints):
-        return False
-    d, p, n, q = record["d"], record["p"], record["n"], record["q"]
-    disc = d if d % 4 == 1 else 4 * d
+    p, n, q = record["p"], record["n"], record["q"]
     if not (3 <= p <= REVERIFY_DEGREE_MAX and is_prime(p)):
         return False
     # p >= 3, so p^n <= REVERIFY_DEGREE_MAX already bounds n by its bit length
     if not (1 <= n <= REVERIFY_DEGREE_MAX.bit_length() and p**n <= REVERIFY_DEGREE_MAX):
         return False
-    return (
-        2 < q <= REVERIFY_Q_MAX
-        and is_prime(q)
-        and (q - 1) % p**n == 0
-        and kronecker(disc, q) == 1
-    )
+    coord_bits = REVERIFY_INT_BITS * 6 // (2 * p**n)
+    if any(v.bit_length() > coord_bits for v in (*cert["alpha"], *cert["containment"])):
+        return False
+    if any(v.bit_length() > REVERIFY_INT_BITS for v in (cert["norm_alpha"], cert["ideal_norm"])):
+        return False
+    return 2 < q <= REVERIFY_Q_MAX and (q - 1) % p**n == 0
 
 
 def reverify_record(record) -> bool:
@@ -318,23 +320,26 @@ def reverify_record(record) -> bool:
     verdict and never an exception.  A record is refused (False) unless
     it is a JSON object carrying integer d, p, n, q and ideal_norm, a
     list ideal_hnf and a certificate with integer lists alpha and
-    containment and integers norm_alpha and ideal_norm, none of the
-    certificate's integers longer than REVERIFY_INT_BITS (1024) bits,
-    with d >= 2 squarefree and disc(d) <= DESK_DISC_BOUND, p an odd
-    prime and p^n <= REVERIFY_DEGREE_MAX (27), and q a prime <=
-    REVERIFY_Q_MAX (10**6) with q = 1 (mod p^n) that splits in
-    Q(sqrt(d)).
+    containment and integers norm_alpha and ideal_norm, with d >= 2
+    squarefree and disc(d) <= DESK_DISC_BOUND, p an odd prime and p^n
+    <= REVERIFY_DEGREE_MAX (27), q a prime <= REVERIFY_Q_MAX (10**6)
+    with q = 1 (mod p^n) that splits in Q(sqrt(d)), norm_alpha and
+    ideal_norm at most REVERIFY_INT_BITS (1024) bits long, and the
+    entries of alpha and containment at most REVERIFY_INT_BITS * 6 //
+    (2 p^n) bits long: 1024 at degree 6, 614 at degree 10, 341 at
+    degree 18, 113 at degree 54.
     """
     if not _well_formed(record):
         return False
     cert = record["certificate"]
     try:
         L = make_field(record["d"])
-    except ValueError:  # d < 2, disc(d) above the desk bound, or d not squarefree
+        ideal = prime_ideal_above(L, record["q"])
+    except ValueError:  # d makes no desk field, or q does not split in it
         return False
     F = make_subfield(record["q"], record["p"] ** record["n"])
     order = build_compositum(L, F)
-    lattice = extend_ideal(prime_ideal_above(L, record["q"]), order)
+    lattice = extend_ideal(ideal, order)
     if [list(r) for r in lattice.hnf] != record["ideal_hnf"]:
         return False
     if lattice.norm != record["ideal_norm"]:
@@ -555,6 +560,7 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     divisible by p, printing each row (and appending each record) as
     soon as its field is done."""
     LambdaSpec(p, n)  # validates p odd prime, n >= 1
+    RadiusSchedule(c0=c0, max_doublings=max_doublings)  # validates c0 >= 1
     members = [
         d for d in range(max(2, dmin), dmax + 1)
         if is_squarefree(d) and class_group(make_field(d)).order % p == 0

@@ -204,11 +204,18 @@ class RadiusSchedule:
     """T2 enumeration schedule: start at 2e * c0 * det(Gram)^(1/2e) and
     double the squared radius up to max_doublings times.  max_vectors
     caps the ball size actually walked per round; hitting it makes the
-    outcome inconclusive (capped), never wrong."""
+    outcome inconclusive (capped), never wrong.  Needs c0 >= 1,
+    max_doublings >= 0 and max_vectors >= 1."""
 
     c0: int = 2
     max_doublings: int = 12
     max_vectors: int = 60_000_000
+
+    def __post_init__(self):
+        if self.c0 < 1 or self.max_doublings < 0 or self.max_vectors < 1:
+            raise ValueError(
+                f"need c0 >= 1, max_doublings >= 0 and max_vectors >= 1, got {self}"
+            )
 
 
 @dataclass(frozen=True)

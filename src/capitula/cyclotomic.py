@@ -358,25 +358,20 @@ def _resultant(p, q_poly) -> int:
 def _sturm_real_roots(poly) -> int:
     """Count of distinct real roots via a Sturm chain (exact Fractions)."""
 
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
     def rem(a, b):
         a = list(a)
         inv = Fraction(1) / b[-1]
-        while len(a) >= len(b) and trim(a):
+        while len(a) >= len(b) and _ptrim(a):
             shift = len(a) - len(b)
             c = a[-1] * inv
             for i, bc in enumerate(b):
                 a[shift + i] -= c * bc
-            a = trim(a)
+            a = _ptrim(a)
         return a
 
     chain = [
-        trim([Fraction(c) for c in poly]),
-        trim([Fraction(k * c) for k, c in enumerate(poly)][1:]),
+        _ptrim([Fraction(c) for c in poly]),
+        _ptrim([Fraction(k * c) for k, c in enumerate(poly)][1:]),
     ]
     while chain[-1]:
         nxt = [-c for c in rem(chain[-2], chain[-1])]

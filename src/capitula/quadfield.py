@@ -14,7 +14,10 @@ B^2 = D (mod 4a).
 Everything is exact.  Class groups are found by a breadth-first closure
 over the classes of the factor-base primes below the Minkowski bound,
 with equivalence decided by reduction cycles, and the relation lattice
-is put in Smith normal form.  No analytic input, no GRH.
+is put in Smith normal form.  No analytic input, no GRH.  One walk,
+_walk, carries the principal multiplier along the reduction steps in
+integral w-coordinates; is_principal reads a generator off it and
+fundamental_unit reads the unit off the cycle of the unit ideal.
 """
 
 from __future__ import annotations
@@ -175,11 +178,10 @@ def _is_reduced_raw(L: QuadraticField, f) -> bool:
 
 
 def _rho_raw(L: QuadraticField, f):
-    """One reduction step (a, B) -> (a', B'), with the multiplier.
+    """One reduction step (a, B) -> (a', B'), with P.
 
-    The step realizes I = psi * I' with psi = (P + sqrt(D))/(2 a'), so a
-    full walk accumulates the principal generator connecting the two
-    ideals.  Returns ((a', B'), (P, a')).
+    The step realizes I = psi * I' with psi = (P + sqrt(D))/(2 a');
+    _walk accumulates these multipliers.  Returns ((a', B'), P).
     """
     a, B = f
     D = L.disc
@@ -189,7 +191,7 @@ def _rho_raw(L: QuadraticField, f):
     c = (D - P * P) // (4 * a)
     a2 = abs(c)
     B2 = (-P) % (2 * a2)
-    return (a2, B2), (P, a2)
+    return (a2, B2), P
 
 
 def _reduce_raw(L: QuadraticField, f):
@@ -210,6 +212,31 @@ def _cycle_raw(L: QuadraticField, f0):
         if len(out) > 10**6:  # pragma: no cover
             raise ConsistencyError("runaway reduction cycle")
     return out
+
+
+def _walk(L: QuadraticField, f):
+    """The rho-walk from the primitive ideal I_0 = f = (a, B), with the
+    principal multiplier in integral w-coordinates.
+
+    Yields (f_k, u, v) for k = 0, 1, ... with I_0 = ((u + v w)/a_k) I_k,
+    where a_k = f_k[0]; it starts at (f, a, 0).  A step multiplies by
+    (P - s)/2 + w = (P + sqrt(D))/2, which lies in I_k, and divides by
+    a_k.  The division is exact: a_k is in I_k, so u + v w is in I_0,
+    and its product with an element of I_k lies in a_k I_0, inside
+    a_k O.
+    """
+    s, nw = L.s, L.norm_omega()
+    a = f[0]
+    u, v = a, 0
+    yield f, u, v
+    for _ in range(10**6):
+        f, P = _rho_raw(L, f)
+        h = (P - s) // 2
+        # (u + v w)(h + w) with w^2 = s w - N(w)
+        u, v = (u * h - v * nw) // a, (u + v * (h + s)) // a
+        a = f[0]
+        yield f, u, v
+    raise ConsistencyError("reduction walk did not terminate")  # pragma: no cover
 
 
 def prime_ideal_above(L: QuadraticField, q: int) -> QuadIdeal:
@@ -273,42 +300,28 @@ class FundamentalUnit:
 
 @lru_cache(maxsize=arith.CACHE_MAXSIZE)
 def fundamental_unit(L: QuadraticField) -> FundamentalUnit:
-    """Fundamental unit by the continued fraction of w.
+    """Fundamental unit, read off the rho-cycle of reduced principal
+    ideals.
 
-    Runs the classical P-Q iteration on (s + sqrt(D))/2 and reads the
-    unit off the convergents at the first return of Q to 2; the norm is
-    (-1)^(period length).
+    Once round the cycle from O = (1, s) back to O, the walk gives
+    O = (u + v w) O, so u + v w is a unit; the cycle meets each reduced
+    principal ideal once, so it is +-e or +-1/e for the fundamental
+    unit e.  Exact sign tests turn it into e > 1: for a unit
+    g = u + v w with conjugate g', g^2 - g'^2 = (2u + s v) v sqrt(D), so
+    |g| > 1 iff v (2u + s v) > 0, and then g has the sign of 2u + s v.
     """
-    D = L.disc
-    t = math.isqrt(D)
-    p_cur, q_cur = L.s, 2
-    g_prev, g_cur = -p_cur, q_cur  # G_{-2}, G_{-1}
-    b_prev, b_cur = 1, 0  # B_{-2}, B_{-1}
-    for i in range(10**7):
-        ai = (p_cur + t) // q_cur
-        g_prev, g_cur = g_cur, ai * g_cur + g_prev
-        b_prev, b_cur = b_cur, ai * b_cur + b_prev
-        p_next = ai * q_cur - p_cur
-        q_next = (D - p_next * p_next) // q_cur
-        if q_next == 2:
-            G, Bc = g_cur, b_cur
-            norm = -1 if (i + 1) % 2 else 1
-            break
-        p_cur, q_cur = p_next, q_next
-    else:  # pragma: no cover
-        raise ConsistencyError("unit search did not terminate")
-    u = (G - L.s * Bc) // 2
-    v = Bc
-    if L.s:
-        x, y = Fraction(G, 2), Fraction(Bc, 2)
-    else:
-        x, y = Fraction(G, 2), Fraction(Bc)  # sqrt(D) = 2 sqrt(d)
-    if not (
-        G * G - D * Bc * Bc == 4 * norm
-        and L.norm_element(u, v) == norm
-        and x * x - L.d * y * y == norm
-    ):
-        raise ConsistencyError(f"unit of Q(sqrt({L.d})) does not have norm {norm}")
+    steps = _walk(L, (1, L.s))
+    next(steps)
+    _, u, v = next(step for step in steps if step[0][0] == 1)
+    if v * (2 * u + L.s * v) < 0:
+        u, v = u + L.s * v, -v  # the conjugate, which is +-1/g
+    if 2 * u + L.s * v < 0:
+        u, v = -u, -v
+    norm = L.norm_element(u, v)
+    if abs(norm) != 1:
+        raise ConsistencyError(f"unit of Q(sqrt({L.d})) has norm {norm}")
+    x = Fraction(2 * u + L.s * v, 2)
+    y = Fraction(v, 2) if L.s else Fraction(v)  # w = (1 + sqrt(d))/2 or sqrt(d)
     return FundamentalUnit(x=x, y=y, norm=norm, u=u, v=v)
 
 
@@ -320,41 +333,21 @@ def is_principal(L: QuadraticField, ideal: QuadIdeal):
     """Decide principality by walking the reduction cycle.
 
     Returns (True, (x, y)) with a generator x + y*w of the ideal, or
-    (False, None).  The generator accumulates the step multipliers
-    (P + sqrt(D))/(2a') along the walk, so it is exact.
+    (False, None).  The walk reduces the primitive part and goes round
+    its cycle; the ideal is principal iff the cycle meets O (a_k = 1),
+    where the walk's u + v w generates the primitive part exactly.
     """
     if ideal.field != L:
         raise ValueError("ideal does not belong to the field")
-    D = L.disc
-    # generator of the primitive part as (x + y sqrt(D)) / den
-    x, y, den = 1, 0, 1
-    f = (ideal.a, ideal.bform)
-
-    def step():
-        nonlocal f, x, y, den
-        f, (pmult, anew) = _rho_raw(L, f)
-        x, y = x * pmult + y * D, x + y * pmult
-        den *= 2 * anew
-
-    guard = 0
-    while not _is_reduced_raw(L, f):
-        step()
-        guard += 1
-        if guard > 10**6:  # pragma: no cover
-            raise ConsistencyError("principality walk did not terminate")
-    start = f
+    steps = _walk(L, (ideal.a, ideal.bform))
+    start, u, v = next(step for step in steps if _is_reduced_raw(L, step[0]))
+    f = start
     while f[0] != 1:
-        step()
+        f, u, v = next(steps)
         if f == start:
             return False, None
-        guard += 1
-        if guard > 10**6:  # pragma: no cover
-            raise ConsistencyError("principality walk did not terminate")
-    gx = Fraction(x - L.s * y, den)
-    gy = Fraction(2 * y, den)
-    gen = (gx * ideal.scale, gy * ideal.scale)
-    nrm = L.norm_element(gen[0], gen[1])
-    if abs(nrm) != ideal.norm():
+    gen = (u * ideal.scale, v * ideal.scale)
+    if abs(L.norm_element(*gen)) != ideal.norm():
         raise ConsistencyError("generator norm mismatch")
     return True, gen
 
@@ -402,25 +395,17 @@ class ClassGroup:
         return math.lcm(1, *(m // math.gcd(m, c) for c, m in zip(coords, self.elementary_divisors)))
 
     def p_sylow(self, p: int) -> SylowData:
-        divisors = tuple(p ** _vp(m, p) for m in self.elementary_divisors if m % p == 0)
-        w = sum(_vp(m, p) for m in divisors)
+        divisors = tuple(p ** arith.valuation(m, p) for m in self.elementary_divisors if m % p == 0)
+        w = sum(arith.valuation(m, p) for m in divisors)
         gen = self.identity_coords()
         if divisors:
             # generator of the largest cyclic factor of the p-part
             idx = len(self.elementary_divisors) - 1
             m = self.elementary_divisors[idx]
             gen = tuple(
-                (m // (p ** _vp(m, p)) if i == idx else 0) for i in range(len(self.elementary_divisors))
+                (m // (p ** arith.valuation(m, p)) if i == idx else 0) for i in range(len(self.elementary_divisors))
             )
         return SylowData(p=p, order=p**w, divisors=divisors, generator_coords=gen, w=w)
-
-
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @lru_cache(maxsize=arith.CACHE_MAXSIZE)

@@ -18,6 +18,7 @@ from capitula.arith import (
     power_residue_symbol,
     sieve_primes,
     sqrt_mod,
+    valuation,
 )
 
 ODD_PRIMES_200 = [p for p in sieve_primes(200) if p > 2]
@@ -65,8 +66,14 @@ def test_factorize_round_trip():
         prod = 1
         for p, e in fac.items():
             assert is_prime(p), (n, p)
+            assert valuation(n, p) == valuation(-n, p) == e, (n, p)
             prod *= p**e
         assert prod == n
+    # the valuation's edge cases: n = 1, p not dividing n, n = p^k m
+    assert valuation(1, 3) == 0
+    assert valuation(10, 3) == 0
+    assert valuation(3**40 * 10, 3) == 40
+    assert valuation(2**70, 2) == 70
 
 
 def test_factorize_semiprime():

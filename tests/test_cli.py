@@ -9,6 +9,7 @@ JSON alone.
 import ast
 import functools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capitula import cli, compositum, quadfield
+from capitula import cli, compositum, cyclotomic, quadfield
 from capitula.cli import main, reverify_record, run_certify, run_search
 from capitula.errors import ConsistencyError
 
@@ -440,6 +441,49 @@ def test_reverify_refuses_huge_certificate_before_any_arithmetic(monkeypatch):
     assert reverify_record(record) is False
 
 
+def test_reverify_coordinate_ceiling_falls_with_the_degree(monkeypatch):
+    # at degree 54 (d = 79, q = 271, p^n = 27) a self-consistent record
+    # with 984-bit containment coefficients has alpha under 1024 bits;
+    # its 54 x 54 exact norm would take seconds, so it is refused first
+    real_norm = compositum.exact_norm
+    L = quadfield.make_field(79)
+    order = compositum.build_compositum(L, cyclotomic.make_subfield(271, 27))
+    lattice = compositum.extend_ideal(quadfield.prime_ideal_above(L, 271), order)
+    rng = random.Random(54)
+    ks = [rng.getrandbits(984) | 1 << 983 for _ in lattice.hnf]
+    alpha = [sum(k * row[c] for k, row in zip(ks, lattice.hnf)) for c in range(order.degree)]
+    assert max(v.bit_length() for v in alpha) <= cli.REVERIFY_INT_BITS
+    record = {
+        "d": 79, "p": 3, "n": 3, "q": 271,
+        "ideal_hnf": [list(r) for r in lattice.hnf],
+        "ideal_norm": lattice.norm,
+        "certificate": {"alpha": alpha, "containment": ks,
+                        "norm_alpha": lattice.norm, "ideal_norm": lattice.norm},
+    }
+
+    def refuse(*args):
+        raise AssertionError("exact_norm reached at degree 54")
+
+    monkeypatch.setattr(compositum, "exact_norm", refuse)
+    assert reverify_record(record) is False
+
+    # at degree 6 the ceiling stays at 1024 bits: a 1000-bit alpha that
+    # solves its containment still gets its exact norm computed
+    record = json.loads(genuine_79_json())
+    cert = record["certificate"]
+    k = 1 << 999
+    cert["alpha"] = [a + k * h for a, h in zip(cert["alpha"], record["ideal_hnf"][0])]
+    cert["containment"][0] += k
+    assert max(v.bit_length() for v in cert["alpha"]) > 999
+    calls = []
+
+    def counted(alpha, order):
+        calls.append(len(alpha))
+        return real_norm(alpha, order)
+
+    monkeypatch.setattr(compositum, "exact_norm", counted)
+    assert reverify_record(record) is False
+    assert calls == [6]
 def test_certify_refuses_what_it_could_not_reverify():
     with pytest.raises(ValueError, match="re-verified"):
         run_certify(79, 3, 4, "generator", None, 50_000, 1, 1, 2, 12)
@@ -477,7 +521,9 @@ INVALID_INPUTS = {
     "classgroup": ["classgroup", "--d", "1"],
     "search": ["search", "--d", "79", "--p", "3", "--phi-scale", "2"],
     "certify": ["certify", "--d", "79", "--p", "3", "--n", "4"],
+    "certify-c0": ["certify", "--d", "79", "--p", "3", "--c0", "0"],
     "survey": ["survey", "--dmax", "10", "--p", "9"],
+    "survey-c0": ["survey", "--dmin", "79", "--dmax", "80", "--p", "3", "--c0", "0"],
     "bound": ["bound", "--g-order", "2", "--n", "0", "--w", "1"],
     "auxiliary": ["auxiliary", "--d", "2", "--p", "3"],
 }

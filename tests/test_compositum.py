@@ -452,6 +452,12 @@ def test_schedule_defaults():
     assert s.max_vectors == 60_000_000
 
 
+def test_schedule_refuses_out_of_range():
+    for bad in ({"c0": 0}, {"c0": -1}, {"max_doublings": -1}, {"max_vectors": 0}):
+        with pytest.raises(ValueError):
+            RadiusSchedule(**bad)
+
+
 # ---------------------------------------------------------------------------
 # enumeration against the per-leaf walk it replaced
 

@@ -5,10 +5,14 @@ continued-fraction map, written here from scratch; the library computes
 the same number through factor-base closure and Smith normal form, so
 agreement is a genuine two-route check.  The unit oracle combines a
 literal Pell scan (small solutions), an exact not-a-proper-power test
-(all solutions), and a frozen table of spot values.
+(all solutions), a frozen table of spot values, and the classical P-Q
+continued fraction of w, which reads the unit off the convergents
+where the library multiplies along the cycle of reduced principal
+ideals.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +22,7 @@ from capitula import quadfield
 from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, kronecker, sieve_primes
 from capitula.cyclotomic import make_subfield
 from capitula.quadfield import (
+    DESK_DISC_BOUND,
     QuadIdeal,
     class_group,
     fundamental_unit,
@@ -81,6 +86,28 @@ def oracle_pell_scan(D, u_cap):
                 if T * T == T2:
                     return T, U
     return None
+
+
+def oracle_unit_continued_fraction(L):
+    """(u, v, norm) of the fundamental unit u + v w > 1, by the P-Q
+    iteration on (s + sqrt(D))/2: the unit is read off the convergents
+    G/B at the first return of Q to 2, and the norm is
+    (-1)^(period length)."""
+    D = L.disc
+    t = math.isqrt(D)
+    p_cur, q_cur = L.s, 2
+    g_prev, g_cur = -p_cur, q_cur  # G_{-2}, G_{-1}
+    b_prev, b_cur = 1, 0  # B_{-2}, B_{-1}
+    i = 0
+    while True:
+        ai = (p_cur + t) // q_cur
+        g_prev, g_cur = g_cur, ai * g_cur + g_prev
+        b_prev, b_cur = b_cur, ai * b_cur + b_prev
+        p_cur = ai * q_cur - p_cur
+        q_cur = (D - p_cur * p_cur) // q_cur
+        i += 1
+        if q_cur == 2:
+            return (g_cur - L.s * b_cur) // 2, b_cur, -1 if i % 2 else 1
 
 
 def unit_is_proper_power(L, eps):
@@ -176,6 +203,19 @@ def test_fundamental_unit_never_a_proper_power():
             break
         L = make_field(d)
         assert not unit_is_proper_power(L, fundamental_unit(L)), d
+
+
+def test_fundamental_unit_matches_continued_fraction():
+    rng = random.Random(20261018)
+    sample = []
+    while len(sample) < 200:
+        d = rng.randrange(3000, DESK_DISC_BOUND)
+        if (d if d % 4 == 1 else 4 * d) <= DESK_DISC_BOUND and is_squarefree(d):
+            sample.append(d)
+    for d in [*filter(is_squarefree, range(2, 3000)), *sample]:
+        L = make_field(d)
+        eps = fundamental_unit(L)
+        assert (eps.u, eps.v, eps.norm) == oracle_unit_continued_fraction(L), d
 
 
 def test_fundamental_unit_frozen_table():
@@ -332,3 +372,14 @@ def test_is_principal_generator_for_class_order():
     assert is_principal(L, frak)[0] is False
     ok, (x, y) = is_principal(L, frak**3)
     assert ok and abs(L.norm_element(x, y)) == 343
+    # long walks from ideals of norm up to 43^81, where every step's
+    # division by a_k must be exact for the generator to come out right
+    for d, q in ((142, 7), (229, 43), (1373, 7)):
+        L = make_field(d)
+        assert class_group(L).order == 3
+        for k in (27, 81):
+            power = prime_ideal_above(L, q) ** k
+            ok, (x, y) = is_principal(L, power)
+            assert ok and x.denominator == 1 and y.denominator == 1, (d, q, k)
+            assert abs(L.norm_element(x, y)) == q**k == power.a, (d, q, k)
+            assert (int(x) - int(y) * power.b) % power.a == 0, (d, q, k)
