@@ -71,37 +71,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, by Eratosthenes."""
-    if bound < 2:
-        return []
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i in range(bound + 1) if flags[i]]
-
-
 def iter_primes(bound: int):
     """Primes <= bound in increasing order, by a segmented sieve of
-    Eratosthenes over windows of SIEVE_WINDOW integers.
+    Eratosthenes over windows that double from 64 integers up to
+    SIEVE_WINDOW.
 
-    Lazy: a caller that stops at q pays for the windows up to q and the
-    base primes up to sqrt(bound), not for a sieve of the whole range.
+    Lazy in q and in the bound: the base primes come from a recursive
+    iter_primes(isqrt(bound)), pulled only while their squares fall
+    below the window being sieved, so a caller that stops at q pays for
+    the windows up to about 2q and the base primes up to sqrt(2q).
     """
     if bound < 2:
         return
-    base = sieve_primes(math.isqrt(bound))
-    lo = 0
+    base_stream = iter_primes(math.isqrt(bound))
+    base: list[int] = []
+    nxt = next(base_stream, None)
+    lo, size = 0, 64
     while lo <= bound:
-        hi = min(lo + SIEVE_WINDOW, bound + 1)  # the window is [lo, hi)
+        hi = min(lo + size, bound + 1)  # the window is [lo, hi)
+        size = min(2 * size, SIEVE_WINDOW)
+        while nxt is not None and nxt * nxt < hi:
+            base.append(nxt)
+            nxt = next(base_stream, None)
         flags = bytearray([1]) * (hi - lo)
         for x in range(lo, min(hi, 2)):
             flags[x - lo] = 0
         for p in base:
-            if p * p >= hi:
-                break
             start = max(p * p, -(-lo // p) * p)
             flags[start - lo :: p] = bytes(len(range(start, hi, p)))
         yield from itertools.compress(range(lo, hi), flags)

@@ -14,10 +14,12 @@ the exponent n when
       or its inverse, since the two primes above q are conjugate and
       carry inverse classes; which one matched is recorded.
 
-For odd p condition (3) is automatic (-1 is an odd power of itself)
-and conditions (4) + (5) force (2) + (3); that implication is asserted
-on every candidate and a violation raises ConsistencyError, because it
-cannot happen unless the arithmetic itself is broken.
+For odd p condition (3) is automatic (-1 is an odd power of itself).
+Condition (5) is evaluated at every split q, as the symbol in
+(Z/q)^*/(Z/q)^*^g with g = gcd(q - 1, p^n); at phi_scale = 1 conditions
+(4) + (5) then force (2), and that implication is asserted on every
+candidate: a violation raises ConsistencyError, because it cannot
+happen unless the arithmetic itself is broken.
 
 The searches return the smallest qualifying prime, or an exhaustion
 value carrying per-condition failure counts so a caller can see which
@@ -176,21 +178,22 @@ def check_conditions(
     cond5 = cond6 = matched_inverse = False
     if cond4:
         root = arith.sqrt_mod(L.d % q, q)
-        if cond2:
-            # reduce eps by sending sqrt(d) to the chosen root
-            omega_res = root if L.s == 0 else (1 + root) * pow(2, -1, q) % q
-            eps_res = fundamental_unit(L).residue(omega_res, q)
-            symbol = arith.power_residue_symbol(eps_res, q, pn)
-            cond5 = symbol.order == spec.required_order
+        # reduce eps by sending sqrt(d) to the chosen root; the symbol
+        # lives in (Z/q)^*/(Z/q)^*^(p^n) = (Z/q)^*/(Z/q)^*^g
+        omega_res = root if L.s == 0 else (1 + root) * pow(2, -1, q) % q
+        eps_res = fundamental_unit(L).residue(omega_res, q)
+        symbol = arith.power_residue_symbol(eps_res, q, math.gcd(q - 1, pn))
+        cond5 = symbol.order == spec.required_order
         coords = cg.coords_of(prime_ideal_above(L, q))
         inverse = cg.inverse_coords(target)
         cond6 = coords in (target, inverse)
         matched_inverse = cond6 and coords == inverse and target != inverse
 
-    if cond4 and cond5 and not (cond2 and cond3):
-        raise ConsistencyError(
-            f"conditions (4) and (5) hold at q = {q} but (2) and (3) do not"
-        )
+    # the symbol's order divides gcd(q - 1, p^n), which is below p^n
+    # unless q = 1 (mod p^n); with the character scaled down the
+    # implication is false (d = 79, p^n = 9, phi_scale = 3, q = 7)
+    if spec.phi_scale == 1 and cond4 and cond5 and not cond2:
+        raise ConsistencyError(f"conditions (4) and (5) hold at q = {q} but (2) does not")
 
     return PrimeCandidate(
         q=q,

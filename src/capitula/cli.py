@@ -11,8 +11,6 @@ Exit codes, the same for every command: 0 success, 1 search or
 enumeration exhausted (inconclusive), 2 invalid input (ValueError), 3
 internal-consistency failure (ConsistencyError).  The group class
 _Capitula holds the one mapping of failures to exit codes.
-Options may also be supplied through environment variables prefixed
-CAPITULA_ (flags take precedence), e.g. CAPITULA_CERTIFY_QBOUND.
 """
 
 from __future__ import annotations
@@ -418,7 +416,7 @@ class _Capitula(click.Group):
             sys.exit(3)
 
 
-@click.group(cls=_Capitula, context_settings={"auto_envvar_prefix": "CAPITULA"})
+@click.group(cls=_Capitula)
 @click.version_option(version=__version__)
 def main():
     """Exact capitulation certificates for real quadratic ideal classes.

@@ -15,13 +15,14 @@ the whole multiplication law.  The minimal polynomial of eta_0 then
 falls out of Newton's identities applied to exact power sums.  No
 floating point touches anything committed.
 
-Verification is independent of construction: the discriminant of the
-period basis is recomputed as the determinant of the exact trace form
-and must equal q^(e-1) (so the periods really are an integral basis
-and q is the only ramified prime), the polynomial discriminant from a
-Sylvester resultant must be a perfect square times that, total
-reality is certified by a Sturm count, and irreducibility by a prime
-t with the polynomial irreducible mod t.
+Verification is independent of construction and uses only the period
+basis: the exact trace form must be positive definite (so F is totally
+real) with determinant q^(e-1) (so the periods really are an integral
+basis and q is the only ramified prime), the stored polynomial must
+vanish at eta_0 when evaluated on its powers, the index of Z[eta_0] is
+the determinant of those powers and must be nonzero, and
+irreducibility is witnessed by a prime t with the polynomial
+irreducible mod t.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from . import arith
 from .errors import ConsistencyError
-from .linalg import det_bareiss
+from .linalg import det_bareiss, gram_schmidt_int
 
 
 @dataclass(frozen=True)
@@ -274,122 +275,70 @@ class SubfieldReport:
 
 
 def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
-    """Independent checks on a constructed subfield.
+    """Independent checks on a constructed subfield, by the linear
+    algebra of the period basis alone.
 
-    The discriminant of the period basis, the determinant of the exact
-    trace form Tr(eta_i eta_j), must be exactly q^(e-1): that pins the
-    lattice spanned by the periods down as the full ring of integers
-    and q as the only ramified prime.  The discriminant of the minimal
-    polynomial itself (via a Sylvester resultant) is recomputed on an
-    independent route and must equal index^2 * q^(e-1) for an integer
-    index = [O_F : Z[eta_0]]; the index is 1 for q = 7 and 13 but not
-    in general (q = 31 has index 2: the field is not monogenic, so no
-    defining cubic there has discriminant 31^2).  All e roots must be
-    real by a Sturm count, and the polynomial must be irreducible,
-    witnessed by a prime t at which it is irreducible mod t.  Any
-    failure raises ConsistencyError; there is no partial credit.
+    The trace form Tr(eta_i eta_j) must be positive definite: an etale
+    algebra over Q is totally real exactly when its trace form is, so
+    that is the total-reality check.  Its determinant, the last leading
+    minor of the same Gram-Schmidt pass, must be exactly q^(e-1): that
+    pins the lattice spanned by the periods down as the full ring of
+    integers and q as the only ramified prime.  The stored polynomial
+    must vanish at eta_0, evaluated on the powers 1, eta_0, ..., eta_0^e
+    in the period basis (never on the power sums it was built from).
+    The index [O_F : Z[eta_0]] is the determinant of 1, ..., eta_0^(e-1)
+    and must not be 0; the index is 1 for q = 7 and 13 but not in
+    general (q = 31 has index 2: the field is not monogenic, so no
+    defining cubic there has discriminant 31^2), and the polynomial
+    discriminant is index^2 q^(e-1).  The polynomial must be
+    irreducible, witnessed by a prime t at which it is irreducible
+    mod t.  Any failure raises ConsistencyError; there is no partial
+    credit.
     """
+    q, e = sub.q, sub.e
     poly = list(sub.period_poly)
-    if len(poly) != sub.e + 1 or poly[-1] != 1:
+    if len(poly) != e + 1 or poly[-1] != 1:
         raise ConsistencyError("stored polynomial is not monic of degree e")
 
-    disc = det_bareiss(sub.trace_gram())
-    if disc != sub.q ** (sub.e - 1) or disc != sub.disc:
+    try:
+        minors, _ = gram_schmidt_int(sub.trace_gram())
+    except ValueError:
         raise ConsistencyError(
-            f"period-basis discriminant {disc} != {sub.q}^{sub.e - 1}"
-        )
+            f"the trace form of the degree-{e} subfield of Q(mu_{q}) is not "
+            "positive definite: the subfield is not totally real"
+        ) from None
+    disc = minors[e]
+    if disc != q ** (e - 1) or disc != sub.disc:
+        raise ConsistencyError(f"period-basis discriminant {disc} != {q}^{e - 1}")
 
-    poly_disc = _poly_discriminant(poly)
-    index = math.isqrt(poly_disc // disc) if poly_disc % disc == 0 else 0
-    if index * index * disc != poly_disc:
-        raise ConsistencyError(
-            f"polynomial discriminant {poly_disc} is not a square multiple "
-            f"of the field discriminant {disc}"
-        )
+    # eta_0^0 .. eta_0^e in the period basis, where 1 = -(eta_0 + ... + eta_{e-1})
+    eta0 = [1] + [0] * (e - 1)
+    powers = [[-1] * e, eta0]
+    while len(powers) <= e:
+        powers.append(sub.mul_coords(powers[-1], eta0))
+    if any(sum(c * pw[i] for c, pw in zip(poly, powers)) for i in range(e)):
+        raise ConsistencyError(f"the stored polynomial does not vanish at eta_0 for q={q}")
 
-    real_roots = _sturm_real_roots(poly)
-    if real_roots != sub.e:
-        raise ConsistencyError(
-            f"only {real_roots} of {sub.e} roots are real for q={sub.q}"
-        )
+    index = abs(det_bareiss(powers[:e]))
+    if index == 0:
+        raise ConsistencyError(f"eta_0 does not generate the subfield for q={q}")
 
     witness = None
-    if sub.e > 1:
+    if e > 1:
         witness = _irreducible_witness(poly)
 
     return SubfieldReport(
-        q=sub.q,
-        e=sub.e,
+        q=q,
+        e=e,
         disc=disc,
-        poly_disc=poly_disc,
+        poly_disc=index * index * disc,
         index=index,
-        real_roots=real_roots,
+        # f is the characteristic polynomial of a generator of a totally
+        # real field, so all its roots are real
+        real_roots=e,
         irreducible_mod=witness,
         ok=True,
     )
-
-
-def _poly_discriminant(poly) -> int:
-    """Discriminant of a monic integer polynomial, ascending coefficients."""
-    n = len(poly) - 1
-    if n == 1:
-        return 1
-    deriv = [k * poly[k] for k in range(1, n + 1)]
-    res = _resultant(poly, deriv)
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
-
-
-def _resultant(p, q_poly) -> int:
-    """Resultant of two integer polynomials (ascending coefficients)."""
-    pd = list(reversed(p))
-    qd = list(reversed(q_poly))
-    m = len(pd) - 1
-    n = len(qd) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + pd + [0] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([0] * i + qd + [0] * (size - i - n - 1))
-    return det_bareiss(rows)
-
-
-def _sturm_real_roots(poly) -> int:
-    """Count of distinct real roots via a Sturm chain (exact Fractions)."""
-
-    def rem(a, b):
-        a = list(a)
-        inv = Fraction(1) / b[-1]
-        while len(a) >= len(b) and _ptrim(a):
-            shift = len(a) - len(b)
-            c = a[-1] * inv
-            for i, bc in enumerate(b):
-                a[shift + i] -= c * bc
-            a = _ptrim(a)
-        return a
-
-    chain = [
-        _ptrim([Fraction(c) for c in poly]),
-        _ptrim([Fraction(k * c) for k, c in enumerate(poly)][1:]),
-    ]
-    while chain[-1]:
-        nxt = [-c for c in rem(chain[-2], chain[-1])]
-        if not nxt:
-            break
-        chain.append(nxt)
-
-    def variations(signs):
-        signs = [s for s in signs if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    at_pos = [1 if p[-1] > 0 else -1 for p in chain if p]
-    at_neg = [
-        (1 if p[-1] > 0 else -1) * (-1 if (len(p) - 1) % 2 else 1)
-        for p in chain
-        if p
-    ]
-    return variations(at_neg) - variations(at_pos)
 
 
 def _irreducible_witness(poly) -> int:
@@ -403,11 +352,9 @@ def _irreducible_witness(poly) -> int:
     """
     e = len(poly) - 1
     prime_divs = sorted(arith.factorize(e))
-    t = 2
-    while t < 20_000:
-        if arith.is_prime(t) and _irreducible_mod(poly, e, prime_divs, t):
+    for t in arith.iter_primes(20_000):
+        if _irreducible_mod(poly, e, prime_divs, t):
             return t
-        t += 1
     raise ConsistencyError("no irreducibility witness below 20000")
 
 

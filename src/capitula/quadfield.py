@@ -420,7 +420,7 @@ def class_group(L: QuadraticField) -> ClassGroup:
     generator ideals whose orders are verified by explicit powering.
     """
     D = L.disc
-    fb_primes = [p for p in arith.sieve_primes(math.isqrt(D) // 2) if arith.kronecker(D, p) != -1]
+    fb_primes = [p for p in arith.iter_primes(math.isqrt(D) // 2) if arith.kronecker(D, p) != -1]
     fb = [_prime_above_any(L, p) for p in fb_primes]
     k = len(fb)
 

@@ -25,7 +25,7 @@ import time
 
 import mpmath
 
-from capitula.arith import is_squarefree, sieve_primes
+from capitula.arith import is_squarefree, iter_primes
 from capitula.bounds import herbrand_report, required_n
 from capitula.chebotarev import check_conditions, find_auxiliary_prime
 from capitula.cli import reverify_record, run_certify
@@ -121,8 +121,9 @@ def _is_proper_power(L, eps):
 
 def test_criterion_2_period_polynomials():
     """Frozen cubics at q = 7 and 13; for every prime q = 1 mod 3 up to
-    200 the verified trace-form discriminant is q^2 and all three roots
-    are real, inside 10s."""
+    200 the verified trace-form discriminant is q^2, all three roots
+    are real, and the polynomial discriminant matches the cubic's
+    closed form, inside 10s."""
     assert make_subfield(7, 3).period_poly == (-1, -2, 1, 1)
     assert make_subfield(7, 3).poly_str() == "x^3 + x^2 - 2x - 1"
     assert make_subfield(13, 3).period_poly == (1, -4, 1, 1)
@@ -130,13 +131,17 @@ def test_criterion_2_period_polynomials():
 
     t0 = time.perf_counter()
     swept = 0
-    for q in sieve_primes(200):
+    for q in iter_primes(200):
         if q % 3 != 1:
             continue
-        report = verify_subfield(make_subfield(q, 3))
+        sub = make_subfield(q, 3)
+        c, b, a, _ = sub.period_poly
+        report = verify_subfield(sub)
         assert report.disc == q * q, q
         assert report.real_roots == 3, q
-        assert report.poly_disc == report.index**2 * q * q, q
+        # the discriminant of the monic cubic x^3 + a x^2 + b x + c
+        disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+        assert report.poly_disc == disc == report.index**2 * q * q, q
         swept += 1
     assert swept == 21
     assert time.perf_counter() - t0 < 10.0
@@ -155,7 +160,7 @@ def test_criterion_3_conditions_and_implication():
     assert cand.witness.symbol.order == 3
 
     violations = 0
-    for q in sieve_primes(100_000):
+    for q in iter_primes(100_000):
         if (2 * 3 * L.disc) % q == 0:
             continue
         try:

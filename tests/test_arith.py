@@ -5,6 +5,10 @@ computation over a full small range, plus a few frozen spot values that
 later modules depend on.
 """
 
+import itertools
+import math
+import tracemalloc
+
 from capitula.arith import (
     SIEVE_WINDOW,
     ResidueSymbol,
@@ -16,10 +20,23 @@ from capitula.arith import (
     least_primitive_root,
     mult_order,
     power_residue_symbol,
-    sieve_primes,
     sqrt_mod,
     valuation,
 )
+
+
+def sieve_primes(bound):
+    """All primes <= bound by a plain sieve of Eratosthenes: the oracle
+    for the library's segmented iter_primes."""
+    if bound < 2:
+        return []
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
+    return [i for i in range(bound + 1) if flags[i]]
+
 
 ODD_PRIMES_200 = [p for p in sieve_primes(200) if p > 2]
 
@@ -44,8 +61,21 @@ def test_sieve_matches_trial_division():
 
 def test_iter_primes_matches_sieve():
     w = SIEVE_WINDOW
-    for bound in (0, 1, 2, w - 1, w, w + 1, 10**5):
+    for bound in (0, 1, 2, 3, 4, 24, 25, 26, w - 1, w, w + 1, 10**5, 10**6 + 3):
         assert list(iter_primes(bound)) == sieve_primes(bound), bound
+
+
+def test_iter_primes_is_lazy_in_its_bound():
+    # the base primes up to sqrt(10**14) = 10**7 are pulled only as the
+    # windows need them, so the first primes cost a window, not 10**7
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(iter_primes(10**14), 50))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == sieve_primes(229)
+    assert peak < 1_000_000
 
 
 def test_is_prime_agrees_with_sieve():

@@ -2,15 +2,18 @@
 
 Freezes the full condition profile at the worked d = 79 points (q = 7
 and q = 13 qualify, q = 11 does not), then checks the structural
-implication: whenever (4) and (5) hold, (2) and (3) must too, across
-every admissible prime up to 10^5.  The implication is enforced inside
-check_conditions by raising, so the scan passes exactly when no
-candidate ever trips it.
+implication: at phi_scale = 1, whenever (4) and (5) hold, (2) must
+too, across every admissible prime up to 10^5.  The implication is
+enforced inside check_conditions by raising, so the scan passes
+exactly when no candidate ever trips it.
 """
+
+import dataclasses
 
 import pytest
 
-from capitula.arith import ResidueSymbol, sieve_primes
+from capitula import arith
+from capitula.arith import ResidueSymbol, iter_primes
 from capitula.chebotarev import (
     ExhaustedSearch,
     LambdaSpec,
@@ -88,10 +91,11 @@ def test_conditions_at_q11_fail_without_witness():
 
 def test_conditions_deeper_level_fails_congruence_only():
     # q = 13 is 4 mod 9: condition (2) fails at n = 2, but (4) and (6)
-    # are level-independent and keep their witnesses
+    # are level-independent and keep their witnesses; the symbol lands
+    # in (Z/13)^*/(Z/13)^*^gcd(12, 9), where order 3 < 9 fails (5)
     cand = check_conditions(make_field(79), 3, 2, 13, TARGET_79)
     assert cand.flags() == (True, False, True, True, False, True)
-    assert cand.witness.symbol is None
+    assert cand.witness.symbol == ResidueSymbol(base=11, modulus=13, degree=3, value=3, order=3)
     assert cand.witness.class_coords == (1,)
 
 
@@ -116,14 +120,14 @@ def test_target_class_must_have_p_power_order():
 
 
 # ---------------------------------------------------------------------------
-# implication (4) and (5) force (2) and (3)
+# implication (4) and (5) force (2)
 
 
 def test_implication_never_violated_up_to_1e5():
     L = make_field(79)
     violations = 0
     checked = 0
-    for q in sieve_primes(100_000):
+    for q in iter_primes(100_000):
         if (2 * 3 * L.disc) % q == 0:
             continue
         try:
@@ -135,11 +139,33 @@ def test_implication_never_violated_up_to_1e5():
     assert checked > 9000
 
 
+def test_implication_raise_fires_on_a_wrong_symbol(monkeypatch):
+    # q = 5 splits in Q(sqrt(79)) but is not 1 mod 3: the symbol lives
+    # in (Z/5)^*/(Z/5)^*^gcd(4, 3), so its order is 1 and (5) fails
+    L = make_field(79)
+    cand = check_conditions(L, 3, 1, 5, TARGET_79)
+    assert (cand.cond2, cand.cond4, cand.cond5) == (False, True, False)
+    assert (cand.witness.symbol.degree, cand.witness.symbol.order) == (1, 1)
+
+    # with the scaled character (5) holds there, and that is no violation
+    for n, q in [(1, 5), (2, 7)]:
+        scaled = check_conditions(L, 3, n, q, TARGET_79, spec=LambdaSpec(3, n, 3))
+        assert (scaled.cond2, scaled.cond4, scaled.cond5) == (False, True, True)
+
+    real = arith.power_residue_symbol
+    monkeypatch.setattr(
+        arith, "power_residue_symbol",
+        lambda a, q, pn: dataclasses.replace(real(a, q, pn), order=3),
+    )
+    with pytest.raises(ConsistencyError, match=r"\(4\) and \(5\) hold at q = 5"):
+        check_conditions(L, 3, 1, 5, TARGET_79)
+
+
 def test_qualifying_primes_have_positive_density():
     L = make_field(79)
     hits = [
         q
-        for q in sieve_primes(20_000)
+        for q in iter_primes(20_000)
         if (2 * 3 * L.disc) % q
         and check_conditions(L, 3, 1, q, TARGET_79).passed
     ]

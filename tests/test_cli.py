@@ -160,8 +160,11 @@ def test_certify_79_with_explicit_q13(runner, tmp_path):
 
 def test_certify_auto_search_uses_smallest_q(runner, tmp_path):
     out = tmp_path / "records.jsonl"
+    # options are not read from the environment: this q bound, were it
+    # read, would stop the scan below 7
     result = runner.invoke(
-        main, ["certify", "--d", "79", "--p", "3", "--out", str(out)]
+        main, ["certify", "--d", "79", "--p", "3", "--out", str(out)],
+        env={"CAPITULA_CERTIFY_QBOUND": "6"},
     )
     assert result.exit_code == 0
     (rec,) = read_records(out)

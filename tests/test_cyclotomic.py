@@ -15,9 +15,10 @@ import tracemalloc
 import mpmath
 import pytest
 
-from capitula.arith import is_prime, sieve_primes
+from capitula.arith import is_prime, iter_primes
 from capitula.cyclotomic import (
     ConsistencyError,
+    CyclotomicSubfield,
     _build_subfield,
     _cosets,
     make_subfield,
@@ -25,6 +26,7 @@ from capitula.cyclotomic import (
     poly_str,
     verify_subfield,
 )
+from capitula.linalg import det_bareiss
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +87,33 @@ def oracle_period_polynomial(q, e):
             nxt[k + 1] = [a + b for a, b in zip(nxt[k + 1], c)]
         coeffs = nxt
     return tuple(_as_integer(c, q) for c in coeffs)
+
+
+def poly_discriminant(poly):
+    """Discriminant of a monic integer polynomial (ascending
+    coefficients) as a Sylvester resultant: the oracle for the
+    verifier's index^2 q^(e-1)."""
+    n = len(poly) - 1
+    if n == 1:
+        return 1
+    deriv = [k * poly[k] for k in range(1, n + 1)]
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * resultant(poly, deriv)
+
+
+def resultant(p, q_poly):
+    """Resultant of two integer polynomials (ascending coefficients)."""
+    pd = list(reversed(p))
+    qd = list(reversed(q_poly))
+    m = len(pd) - 1
+    n = len(qd) - 1
+    size = m + n
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + pd + [0] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([0] * i + qd + [0] * (size - i - n - 1))
+    return det_bareiss(rows)
 
 
 def set_prime_divisors(n):
@@ -161,13 +190,15 @@ def test_polynomial_independent_of_primitive_root():
 
 
 def test_verify_all_cubic_subfields_up_to_200():
-    for q in sieve_primes(200):
+    for q in iter_primes(200):
         if q % 3 != 1:
             continue
-        report = verify_subfield(make_subfield(q, 3))
+        sub = make_subfield(q, 3)
+        report = verify_subfield(sub)
         assert report.ok
         assert report.disc == q * q
         assert report.real_roots == 3
+        assert report.poly_disc == poly_discriminant(sub.period_poly)
         assert report.poly_disc == report.index**2 * q * q
         assert report.irreducible_mod is not None
         assert is_prime(report.irreducible_mod)
@@ -181,19 +212,34 @@ def test_known_index_values():
 
 
 def test_verify_degree_nine():
-    report = verify_subfield(make_subfield(19, 9))
+    sub = make_subfield(19, 9)
+    report = verify_subfield(sub)
     assert report.disc == 19**8
     assert report.real_roots == 9
+    assert report.poly_disc == poly_discriminant(sub.period_poly)
 
 
 def test_verify_rejects_corruption():
     sub = make_subfield(13, 3)
-    bad = dataclasses.replace(sub, period_poly=(1, -4, 2, 1))
-    with pytest.raises(ConsistencyError):
-        verify_subfield(bad)
+    for poly in [(1, -4, 2, 1), (2, -4, 1, 1), (1, 0, 1, 1), (1, -3, 1, 1)]:
+        bad = dataclasses.replace(sub, period_poly=poly)
+        with pytest.raises(ConsistencyError):
+            verify_subfield(bad)
     worse = dataclasses.replace(sub, disc=168)
     with pytest.raises(ConsistencyError):
         verify_subfield(worse)
+
+
+def test_verify_rejects_indefinite_trace_form(monkeypatch):
+    # determinant 49 = 7^2 as for the real cubic field, but with
+    # signature (1, 2): not the trace form of a totally real field
+    sub = make_subfield(7, 3)
+    assert verify_subfield(sub).ok
+    monkeypatch.setattr(
+        CyclotomicSubfield, "trace_gram", lambda self: [[-1, 0, 0], [0, -1, 0], [0, 0, 49]]
+    )
+    with pytest.raises(ConsistencyError, match="not positive definite"):
+        verify_subfield(sub)
 
 
 def test_validation_rejects_bad_input():

@@ -19,7 +19,7 @@ import mpmath
 import pytest
 
 from capitula import quadfield
-from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, kronecker, sieve_primes
+from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, iter_primes, kronecker
 from capitula.cyclotomic import make_subfield
 from capitula.quadfield import (
     DESK_DISC_BOUND,
@@ -293,7 +293,7 @@ def test_p_sylow_data():
 def test_prime_ideal_above_laws():
     for d in (2, 10, 79, 142, 229):
         L = make_field(d)
-        for q in sieve_primes(60):
+        for q in iter_primes(60):
             if L.disc % q == 0 or kronecker(L.disc, q) != 1:
                 continue
             frak = prime_ideal_above(L, q)
@@ -319,7 +319,7 @@ def test_ideal_norm_multiplicative():
     L = make_field(79)
     split = [
         prime_ideal_above(L, q)
-        for q in sieve_primes(50)
+        for q in iter_primes(50)
         if L.disc % q and kronecker(L.disc, q) == 1
     ]
     for I in split:
@@ -351,7 +351,7 @@ def test_is_principal_agrees_with_class_group():
     for d in (79, 10, 142, 2, 235):
         L = make_field(d)
         cg = class_group(L)
-        for q in sieve_primes(40):
+        for q in iter_primes(40):
             if L.disc % q == 0 or kronecker(L.disc, q) != 1:
                 continue
             frak = prime_ideal_above(L, q)
