@@ -255,7 +255,8 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     record["principal_in_L"] = principal
 
     t0 = time.perf_counter()
-    outcome = certify_principal(lattice, order, schedule)
+    counters = {}
+    outcome = certify_principal(lattice, order, schedule, counters)
     timings["certify"] = _now_ms(t0)
     if isinstance(outcome, NotFound):
         record["certificate"] = None
@@ -268,6 +269,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         "ideal_norm": outcome.ideal_norm,
         "containment": list(outcome.containment),
     }
+    record.update(counters)
     if not reverify_record(json.loads(json.dumps(record))):
         raise ConsistencyError("freshly emitted record failed re-verification")
     return record, "ok"
@@ -495,10 +497,11 @@ def search(d, p, n, selector, qbound, phi_scale, jobs, out):
 @_with_options(_search_options)
 @click.option("--q", type=int, default=None,
               help="Use this prime instead of scanning.")
-@click.option("--c0", type=int, default=2, show_default=True,
-              help="Initial enumeration radius multiplier.")
-@click.option("--max-doublings", type=click.IntRange(min=0), default=12,
-              show_default=True, help="Radius doublings before giving up.")
+@click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True,
+              help="Multiplier of the enumeration radii.")
+@click.option("--max-doublings", type=click.IntRange(min=0),
+              default=RadiusSchedule.max_doublings, show_default=True,
+              help="Budget of 16 * 2^N twisted tries before giving up.")
 def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doublings):
     """End-to-end principalization: find q, build M = L.F, emit an
     exact certificate that the target class becomes principal."""
@@ -526,8 +529,9 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
     if status == "not_found":
         nf = record["not_found"]
         click.echo(
-            f"no generator found up to T2 radius^2 = {nf['max_radius_sq']} "
-            f"({nf['enumerated']} candidates tried); inconclusive"
+            f"no generator found in {len(nf['rounds'])} untwisted walks and "
+            f"{nf['tries']} twisted tries ({nf['enumerated']} vectors walked); "
+            "inconclusive"
         )
         sys.exit(1)
     cert = record["certificate"]
@@ -549,9 +553,9 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 @click.option("--phi-scale", type=int, default=1, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Fields certified in parallel.")
-@click.option("--c0", type=int, default=2, show_default=True)
-@click.option("--max-doublings", type=click.IntRange(min=0), default=12,
-              show_default=True)
+@click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True)
+@click.option("--max-doublings", type=click.IntRange(min=0),
+              default=RadiusSchedule.max_doublings, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is

@@ -13,24 +13,35 @@ norm goes through the tower N_M = N_F o N_{M/F}: a quadratic relative
 norm in F, then an e x e determinant.
 
 The generator search is lattice business.  An ideal of L extended to
-M is a full-rank sublattice in Hermite normal form; its Gram matrix
-under the trace form (the T2 quadratic form, totally real field) is
-reduced by all-integer LLL and short vectors are enumerated in growing
-T2 radius, both driven by the same integral Gram-Schmidt data.  Every
-candidate is judged purely in integers: the norm is the tower norm
-above, and the containment witness is re-derived by back-substitution
-against the HNF rows.
+M is a full-rank sublattice in Hermite normal form.  Its Gram matrix
+under the trace form (the T2 quadratic form, M is totally real) is
+reduced by all-integer LLL and walked twice, at a T2 radius and at
+twice that radius, both driven by the same integral Gram-Schmidt
+data.  A generator need not be short in T2: its conjugates can be far
+from balanced.  So the search goes on with seeded twisted tries, the
+Arakelov form of Buchmann's principal-ideal method: the lattice is
+walked under the trace form twisted by exp(2 s_j) on the j-th
+embedding, with s random in the trace-zero hyperplane, which
+rebalances a generator whose log-conjugates lie along s.  The twists
+come from a random.Random seeded by the order's discriminant and the
+ideal's HNF, one stream per ideal.  Every candidate is judged purely
+in integers: the norm is the tower norm above, and the containment
+witness is re-derived by back-substitution against the HNF rows.
 Floating-point embeddings, plain `math` floats built inside
-`certify_principal`, only steer the search: a band on the approximate
+`certify_principal`, only steer the search.  A band on the approximate
 norm pre-screens candidates, and a float lower bound on that norm lets
-whole leaf rows of the walk be counted unscanned.  Both are advisory,
-carry no proven error bound, and can cost a candidate but never a
-wrong answer; nothing committed depends on them.
+whole leaf rows of the walk be counted unscanned.  In the twisted
+tries the floats also choose the reduced basis: the twisted conjugates
+are rounded to integers before LLL.  None of this carries a proven
+error bound, and it can cost a candidate but never a wrong answer,
+because every accept is exact.  The generator found is deterministic
+on one machine; with another libm's exp or cos it could differ.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from math import isqrt
 
@@ -42,6 +53,12 @@ from .quadfield import QuadIdeal, QuadraticField
 # relative margin by which a leaf row's float lower bound on |N(y)| must
 # clear the band before the row is counted unscanned
 ROW_SKIP_MARGIN = 1e-6
+
+# twisted tries: visits walked per try, the largest length of the
+# twist s, and the bits the shortest twisted row keeps when rounded
+TRY_VISITS = 5000
+TWIST_MAX = 20.0
+TWIST_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -201,14 +218,18 @@ def extend_ideal(I: QuadIdeal, order: CompositumOrder) -> IdealLatticeBasis:
 
 @dataclass(frozen=True)
 class RadiusSchedule:
-    """T2 enumeration schedule: start at 2e * c0 * det(Gram)^(1/2e) and
-    double the squared radius up to max_doublings times.  max_vectors
-    caps the ball size actually walked per round; hitting it makes the
-    outcome inconclusive (capped), never wrong.  Needs c0 >= 1,
+    """Budget of the generator search.  c0 scales the radii: the two
+    untwisted walks go to T2 radius^2 2e * c0 * det(Gram)^(1/2e) and
+    twice that, and each twisted try to 32 * c0 * 2e * N^(2/2e) in the
+    twisted form, 64 times the T2 of a balanced generator at c0 = 2.
+    After the untwisted walks come up to 16 * 2^max_doublings twisted
+    tries.  max_vectors caps each untwisted walk, and hitting it ends
+    the search inconclusive (capped), never wrong; a twisted try walks
+    at most min(TRY_VISITS, max_vectors) vectors.  Needs c0 >= 1,
     max_doublings >= 0 and max_vectors >= 1."""
 
     c0: int = 2
-    max_doublings: int = 12
+    max_doublings: int = 9
     max_vectors: int = 60_000_000
 
     def __post_init__(self):
@@ -216,6 +237,10 @@ class RadiusSchedule:
             raise ValueError(
                 f"need c0 >= 1, max_doublings >= 0 and max_vectors >= 1, got {self}"
             )
+
+    @property
+    def tries(self) -> int:
+        return 16 << self.max_doublings
 
 
 @dataclass(frozen=True)
@@ -232,8 +257,8 @@ class PrincipalityCertificate:
 
 @dataclass(frozen=True)
 class EnumerationRound:
-    """One radius of the doubling schedule: vectors walked, vectors kept
-    by the norm band, and leaf rows the row bound counted unscanned."""
+    """One untwisted walk: its radius, vectors walked, vectors kept by
+    the norm band, and leaf rows the row bound counted unscanned."""
 
     radius_sq: int
     visited: int
@@ -243,12 +268,13 @@ class EnumerationRound:
 
 @dataclass(frozen=True)
 class NotFound:
-    """Enumeration exhausted without an exact-norm hit.  Inconclusive:
-    generators need not be short.  rounds has one entry per radius
-    walked; enumerated is the sum of their visited counts."""
+    """The search gave out without an exact-norm hit.  Inconclusive:
+    generators need not be short.  tries counts the twisted tries
+    walked, enumerated the vectors visited by every walk, untwisted and
+    twisted; capped means an untwisted walk stopped at max_vectors and
+    ended the search; rounds has one entry per untwisted walk."""
 
-    max_radius_sq: int
-    doublings_used: int
+    tries: int
     enumerated: int
     capped: bool = False
     rounds: tuple = ()
@@ -431,88 +457,144 @@ def _mat_vec(y, mat):
     return out
 
 
+def _band_rows(emb, basis):
+    """Float conjugates of the basis rows: entry [j][i] is embedding j
+    of row i, each one math.fsum."""
+    n = len(basis)
+    return [
+        [math.fsum(emb[j][c] * basis[i][c] for c in range(n)) for i in range(n)]
+        for j in range(n)
+    ]
+
+
+def _twist(rng: random.Random, n: int) -> list:
+    """A twist s with sum s_j = 0: a Gaussian direction projected to
+    the trace-zero hyperplane, with length uniform in [0, TWIST_MAX]."""
+    g = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    mean = sum(g) / n
+    g = [x - mean for x in g]
+    length = rng.uniform(0.0, TWIST_MAX)
+    return [x * length / math.hypot(*g) for x in g]
+
+
+def _twisted_gram(conj, s):
+    """Integer Gram X X^t of the rows conj[j][i] * exp(s_j), rounded
+    at 2^K, with K the least shift that leaves every row an entry of at
+    least TWIST_BITS bits.  Returns (gram, K).  Rounding the rows, not
+    the Gram, keeps the Gram positive definite at large twists."""
+    w = [math.exp(sj) for sj in s]
+    rows = [[c * wj for c, wj in zip(row, w)] for row in zip(*conj)]
+    k = TWIST_BITS + 1 - min(math.frexp(max(map(abs, row)))[1] for row in rows)
+    x = [[round(math.ldexp(c, k)) for c in row] for row in rows]
+    n = len(x)
+    gram = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            gram[r][c] = gram[c][r] = sum(a * b for a, b in zip(x[r], x[c]))
+    return gram, k
+
+
 def certify_principal(
     B: IdealLatticeBasis,
     order: CompositumOrder,
     schedule: RadiusSchedule | None = None,
+    counters: dict | None = None,
 ):
     """Search for a generator of the ideal lattice.
 
-    LLL-reduce the ideal's trace-form Gram matrix, enumerate lattice
-    vectors by growing T2 radius, and accept the first (in T2-then-
-    lexicographic order) whose exact norm matches the ideal norm in
-    absolute value.  The walk pre-screens candidates by approximate
-    norm (a generous factor-4 band) through double-precision embeddings
-    of the reduced basis, built here from math.sqrt(disc(L)) and the
-    float periods, each entry one math.fsum; so exact Bareiss norms
-    are only computed for the handful that look right, and the accept
-    decision itself is always exact.  Containment is by construction
-    but re-derived independently for the certificate.
-    Returns NotFound with the exhausted radius when the schedule runs
-    out; that is inconclusive.
+    First LLL-reduce the ideal's trace-form Gram matrix and walk it at
+    two T2 radii (see RadiusSchedule).  Then run up to schedule.tries
+    twisted tries: draw s from random.Random(repr((order.disc, B.hnf))),
+    round the float conjugates of the HNF rows scaled by exp(s_j) to
+    integers, LLL-reduce their Gram matrix and walk it, at most
+    TRY_VISITS vectors.  Each walk keeps the vectors whose approximate
+    norm falls in a generous factor-4 band around the ideal norm,
+    computed from double-precision embeddings of the reduced basis
+    (math.sqrt(disc(L)) and the float periods); the band is untwisted,
+    since a twist with sum s_j = 0 leaves the norm unchanged.  The kept
+    vectors are ranked by the walk's form, then by coordinates, and the
+    first whose exact norm matches the ideal norm in absolute value is
+    the generator.  The accept decision is always exact, and
+    containment is re-derived independently for the certificate.
+
+    Returns the certificate, or NotFound when the budget runs out; that
+    is inconclusive.  A dict passed as counters receives the number of
+    twisted tries and of vectors visited, whatever the outcome.
     """
     if schedule is None:
         schedule = RadiusSchedule()
     n = order.degree
     hnf = [list(r) for r in B.hnf]
-
-    gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
-    red_gram, U = lll_reduce_gram(gram_i)
-
-    # float embedding rows of the reduced basis, for the norm band
-    redrows = [_mat_vec(list(U[i]), hnf) for i in range(n)]
     emb = _embeddings(order)
-    frows = [
-        [math.fsum(emb[j][c] * redrows[i][c] for c in range(n)) for i in range(n)]
-        for j in range(n)
-    ]
-    filt = (frows, B.norm / 4.0, B.norm * 4.0)
+    tries = 0
+    enumerated = 0
 
-    det_gram = order.disc * B.norm * B.norm
-    base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
-
-    rounds = []
-    radius_sq = base_sq
-    for doubling in range(schedule.max_doublings + 1):
+    def walk(red_gram, U, radius_sq, cap):
+        # walk a reduced basis; test the kept vectors in the order of its form
+        nonlocal enumerated
+        redrows = [_mat_vec(list(U[i]), hnf) for i in range(n)]
+        filt = (_band_rows(emb, redrows), B.norm / 4.0, B.norm * 4.0)
         vectors, visited, capped, skipped = _enumerate_short(
-            red_gram, radius_sq, schedule.max_vectors, filt
+            red_gram, radius_sq, cap, filt
         )
-        rounds.append(EnumerationRound(radius_sq, visited, len(vectors), skipped))
-        ranked = sorted((_qform(red_gram, y, y), y) for y in vectors)
-        for _, y in ranked:
+        enumerated += visited
+        cert = None
+        for _, y in sorted((_qform(red_gram, y, y), y) for y in vectors):
             alpha = _mat_vec(y, redrows)
             nval = exact_norm(alpha, order)
             if abs(nval) == B.norm:
-                alpha, nval = _normalize_sign(alpha, nval, order)
-                containment = _solve_containment(hnf, alpha)
-                if containment is None:
-                    raise ConsistencyError(
-                        "enumerated vector escaped its own ideal lattice"
-                    )
-                cert = PrincipalityCertificate(
-                    alpha=tuple(alpha),
-                    norm_alpha=nval,
-                    ideal_norm=B.norm,
-                    containment=tuple(containment),
-                )
-                if not verify_certificate(cert, B, order):
-                    raise ConsistencyError("fresh certificate failed verification")
-                return cert
+                cert = _certificate(alpha, nval, B, hnf, order)
+                break
+        return cert, EnumerationRound(radius_sq, visited, len(vectors), skipped), capped
+
+    def done(outcome):
+        if counters is not None:
+            counters.update(tries=tries, enumerated=enumerated)
+        return outcome
+
+    # the untwisted walks share one reduction
+    gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
+    red_gram, U = lll_reduce_gram(gram_i)
+    det_gram = order.disc * B.norm * B.norm
+    base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
+    rounds = []
+    for radius_sq in (base_sq, 2 * base_sq):
+        cert, rnd, capped = walk(red_gram, U, radius_sq, schedule.max_vectors)
+        rounds.append(rnd)
+        if cert is not None:
+            return done(cert)
         if capped:
-            return NotFound(
-                max_radius_sq=radius_sq,
-                doublings_used=doubling,
-                enumerated=sum(r.visited for r in rounds),
-                capped=True,
-                rounds=tuple(rounds),
-            )
-        radius_sq *= 2
-    return NotFound(
-        max_radius_sq=radius_sq // 2,
-        doublings_used=schedule.max_doublings,
-        enumerated=sum(r.visited for r in rounds),
-        rounds=tuple(rounds),
+            return done(NotFound(tries, enumerated, True, tuple(rounds)))
+
+    rng = random.Random(repr((order.disc, B.hnf)))
+    conj = _band_rows(emb, hnf)
+    twist_sq = 32 * schedule.c0 * n * (_iroot(B.norm * B.norm, n) + 1)
+    cap = min(TRY_VISITS, schedule.max_vectors)
+    for tries in range(1, schedule.tries + 1):
+        gram, k = _twisted_gram(conj, _twist(rng, n))
+        radius_sq = twist_sq << 2 * k if k >= 0 else twist_sq >> -2 * k
+        cert = walk(*lll_reduce_gram(gram), radius_sq, cap)[0]
+        if cert is not None:
+            return done(cert)
+    return done(NotFound(tries, enumerated, False, tuple(rounds)))
+
+
+def _certificate(alpha, nval, B, hnf, order) -> PrincipalityCertificate:
+    """Certificate of an element of exact norm +-N(B), sign normalised,
+    with its containment re-derived and the whole re-verified."""
+    alpha, nval = _normalize_sign(alpha, nval, order)
+    containment = _solve_containment(hnf, alpha)
+    if containment is None:
+        raise ConsistencyError("enumerated vector escaped its own ideal lattice")
+    cert = PrincipalityCertificate(
+        alpha=tuple(alpha),
+        norm_alpha=nval,
+        ideal_norm=B.norm,
+        containment=tuple(containment),
     )
+    if not verify_certificate(cert, B, order):
+        raise ConsistencyError("fresh certificate failed verification")
+    return cert
 
 
 def _normalize_sign(alpha, nval, order):

@@ -64,17 +64,6 @@ class CyclotomicSubfield:
         """
         return _mul_coords(u, v, self.e, self.f, self.tmat)
 
-    def power_coords(self, k: int):
-        """eta_0^k in the period basis, k >= 1."""
-        if k < 1:
-            raise ValueError("k must be positive")
-        cur = [0] * self.e
-        cur[0] = 1
-        base = tuple(cur)
-        for _ in range(k - 1):
-            cur = self.mul_coords(cur, base)
-        return cur
-
     def trace_coords(self, u):
         # every period has trace -1
         return -sum(u)
@@ -271,7 +260,6 @@ class SubfieldReport:
     index: int
     real_roots: int
     irreducible_mod: int | None
-    ok: bool
 
 
 def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
@@ -337,7 +325,6 @@ def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
         # real field, so all its roots are real
         real_roots=e,
         irreducible_mod=witness,
-        ok=True,
     )
 
 

@@ -9,7 +9,10 @@ JSON alone.
 import ast
 import functools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,7 +194,7 @@ def test_certify_starved_schedule_inconclusive(runner, tmp_path):
     result = runner.invoke(
         main,
         [
-            "certify", "--d", "142", "--p", "3", "--q", "7",
+            "certify", "--d", "223", "--p", "3", "--q", "37",
             "--c0", "1", "--max-doublings", "0", "--out", str(out),
         ],
     )
@@ -199,8 +202,43 @@ def test_certify_starved_schedule_inconclusive(runner, tmp_path):
     assert "inconclusive" in result.output
     (rec,) = read_records(out)
     assert rec["certificate"] is None
-    assert rec["not_found"]["doublings_used"] == 0
+    assert rec["not_found"]["tries"] == 16
     assert rec["not_found"]["enumerated"] > 0
+    assert len(rec["not_found"]["rounds"]) == 2
+    assert "tries" not in rec and "enumerated" not in rec
+
+
+def test_twisted_tries_certify_and_record_where_the_search_went():
+    # the plain T2 ball misses the unbalanced generators of 142 and 254;
+    # the twisted tries find them within max_doublings = 2 (64 tries),
+    # and the records carry the tries and visits and re-verify from JSON
+    for d in (142, 254):
+        record, status = run_certify(d, 3, 1, "generator", None, 50_000, 1, 1, 2, 2)
+        assert status == "ok", d
+        assert record["principal_in_L"] is False
+        assert 1 <= record["tries"] <= 64
+        assert record["enumerated"] > 0
+        assert "tries" not in record["certificate"]
+        assert reverify_record(json.loads(json.dumps(record)))
+
+
+def test_certificate_does_not_depend_on_the_hash_seed():
+    # the twists are seeded by a str, so string hashing cannot move them
+    script = (
+        "from capitula.cli import run_certify\n"
+        "record, _ = run_certify(142, 3, 1, 'generator', None, 50000, 1, 1, 2, 2)\n"
+        "print(record['certificate']['alpha'])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    alphas = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        alphas.add(done.stdout.strip())
+    assert len(alphas) == 1
 
 
 def test_certify_threshold_guard(runner):

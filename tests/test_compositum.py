@@ -23,6 +23,7 @@ from capitula.compositum import (
     IdealLatticeBasis,
     NotFound,
     PrincipalityCertificate,
+    TRY_VISITS,
     RadiusSchedule,
     _embeddings,
     _enumerate_short,
@@ -415,41 +416,59 @@ def test_certificate_rejected_against_wrong_lattice():
 
 
 def test_not_found_is_inconclusive_and_reported():
-    # a deliberately starved schedule on the hard d = 142 case
-    L = make_field(142)
-    order = build_compositum(L, make_subfield(7, 3))
-    B = extend_ideal(prime_ideal_above(L, 7), order)
+    # a deliberately starved schedule on d = 223, which no budget tried
+    # so far certifies
+    L = make_field(223)
+    order = build_compositum(L, make_subfield(37, 3))
+    B = extend_ideal(prime_ideal_above(L, 37), order)
     out = certify_principal(
         B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=500)
     )
     assert isinstance(out, NotFound)
     assert out.capped
-    assert out.enumerated >= 500
-    assert out.max_radius_sq > 0
+    assert out.tries == 0
     assert len(out.rounds) == 1
-    assert out.rounds[0].radius_sq == out.max_radius_sq
+    assert out.rounds[0].radius_sq > 0
     assert out.rounds[0].visited == out.enumerated == 500
-    # without the cap the same starved radius is exhausted instead
+    # without the cap both untwisted walks run, then 16 * 2^0 twisted tries
+    counters = {}
     full = certify_principal(
-        B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=10**9)
+        B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=10**9), counters
     )
     assert isinstance(full, NotFound)
     assert not full.capped
-    assert full.doublings_used == 0
-    # one round per radius walked; enumerated is their visited total
+    assert full.tries == 16
+    assert counters == {"tries": 16, "enumerated": full.enumerated}
+    base = full.rounds[0].radius_sq
+    assert [r.radius_sq for r in full.rounds] == [base, 2 * base]
+    assert all(0 <= r.rows_skipped and r.kept == 0 for r in full.rounds)
+    # enumerated adds the twisted visits to the untwisted rounds
+    walked = sum(r.visited for r in full.rounds)
+    assert walked <= full.enumerated <= walked + full.tries * TRY_VISITS
     two = certify_principal(
         B, order, RadiusSchedule(c0=1, max_doublings=1, max_vectors=10**9)
     )
-    assert [r.radius_sq for r in two.rounds] == [full.max_radius_sq, two.max_radius_sq]
-    assert two.rounds[0] == full.rounds[0]
-    assert sum(r.visited for r in two.rounds) == two.enumerated
-    assert all(0 <= r.rows_skipped and r.kept == 0 for r in two.rounds)
+    assert two.rounds == full.rounds
+    assert two.tries == 32
+    assert two.enumerated >= full.enumerated
+
+
+def test_certificate_of_985_is_pinned():
+    # found by the untwisted walks, so no float twist touches it
+    L = make_field(985)
+    order = build_compositum(L, make_subfield(19, 3))
+    B = extend_ideal(prime_ideal_above(L, 19), order)
+    counters = {}
+    cert = certify_principal(B, order, counters=counters)
+    assert cert.alpha == (11, -19, -3, 1, 0, -2)
+    assert counters["tries"] == 0
 
 
 def test_schedule_defaults():
     s = RadiusSchedule()
-    assert (s.c0, s.max_doublings) == (2, 12)
+    assert (s.c0, s.max_doublings) == (2, 9)
     assert s.max_vectors == 60_000_000
+    assert s.tries == 16 * 2**9
 
 
 def test_schedule_refuses_out_of_range():
