@@ -269,7 +269,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         "ideal_norm": outcome.ideal_norm,
         "containment": list(outcome.containment),
     }
-    record.update(counters)
+    record.update(counters, rounds=[asdict(r) for r in counters["rounds"]])
     if not reverify_record(json.loads(json.dumps(record))):
         raise ConsistencyError("freshly emitted record failed re-verification")
     return record, "ok"

@@ -17,25 +17,29 @@ M is a full-rank sublattice in Hermite normal form.  Its Gram matrix
 under the trace form (the T2 quadratic form, M is totally real) is
 reduced by all-integer LLL and walked twice, at a T2 radius and at
 twice that radius, both driven by the same integral Gram-Schmidt
-data.  A generator need not be short in T2: its conjugates can be far
-from balanced.  So the search goes on with seeded twisted tries, the
-Arakelov form of Buchmann's principal-ideal method: the lattice is
-walked under the trace form twisted by exp(2 s_j) on the j-th
-embedding, with s random in the trace-zero hyperplane, which
-rebalances a generator whose log-conjugates lie along s.  The twists
-come from a random.Random seeded by the order's discriminant and the
-ideal's HNF, one stream per ideal.  Every candidate is judged purely
-in integers: the norm is the tower norm above, and the containment
-witness is re-derived by back-substitution against the HNF rows.
-Floating-point embeddings, plain `math` floats built inside
-`certify_principal`, only steer the search.  A band on the approximate
-norm pre-screens candidates, and a float lower bound on that norm lets
-whole leaf rows of the walk be counted unscanned.  In the twisted
-tries the floats also choose the reduced basis: the twisted conjugates
-are rounded to integers before LLL.  None of this carries a proven
-error bound, and it can cost a candidate but never a wrong answer,
-because every accept is exact.  The generator found is deterministic
-on one machine; with another libm's exp or cos it could differ.
+data.  Every walk covers half the ball, the vectors whose last nonzero
+coordinate is positive, and mirrors what it keeps: y and -y have the
+same |N|, and the floats that judge -y are exactly those of y negated,
+so the mirrored list is the full walk's, bit for bit.  A generator
+need not be short in T2: its conjugates can be far from balanced.  So
+the search goes on with seeded twisted tries, the Arakelov form of
+Buchmann's principal-ideal method: the lattice is walked under the
+trace form twisted by exp(2 s_j) on the j-th embedding, with s random
+in the trace-zero hyperplane, which rebalances a generator whose
+log-conjugates lie along s.  The twists come from a random.Random
+seeded by the order's discriminant and the ideal's HNF, one stream
+per ideal.  Every candidate is judged purely in integers: the norm is
+the tower norm above, and the containment witness is re-derived by
+back-substitution against the HNF rows.  Floating-point embeddings,
+plain `math` floats built inside `certify_principal`, only steer the
+search.  A band on the approximate norm pre-screens candidates, and a
+float lower bound on that norm lets whole leaf rows of the walk be
+counted unscanned.  In the twisted tries the floats also choose the
+reduced basis: the twisted conjugates are rounded to integers before
+LLL.  None of this carries a proven error bound, and it can cost a
+candidate but never a wrong answer, because every accept is exact.
+The generator found is deterministic on one machine; with another
+libm's exp or cos it could differ.
 """
 
 from __future__ import annotations
@@ -318,6 +322,18 @@ def _enumerate_short(gram, radius_sq, cap, filt):
     vector exactly, and a miss costs completeness of the *kept* list
     only, never of the walk.
 
+    The ball is symmetric, so the walk takes half of it: y and -y give
+    the same |N|, and negating a path negates every float of it
+    exactly, so the band test and the row bound decide alike for both.
+    While every higher coordinate is zero the centre is 0 and the isqrt
+    interval is symmetric, so there the walk takes y_i >= 0 (y_0 >= 1
+    in the zero row).  Each kept vector is mirrored and the list sorted
+    back into depth-first order (key y[::-1]); visited and rows_skipped
+    double.  The output is that of the full walk, bit for bit.  A cap
+    selects the first cap vectors in depth-first order, which half a
+    ball cannot give, so once the half shows 2 visited >= cap the ball
+    is walked again in full order up to the cap.
+
     Returns (kept, visited, capped, rows_skipped): visited counts every
     nonzero vector in the radius, capped reports an early stop at the
     cap, rows_skipped the leaf rows the bound counted unscanned.
@@ -334,12 +350,7 @@ def _enumerate_short(gram, radius_sq, cap, filt):
     # fcol[i][j]: contribution of y_i to embedding j
     fcol = [[float(rows[j][i]) for j in range(n)] for i in range(n)]
     fc0 = fcol[0]
-    kept = []
-    visited = 0
-    rows_skipped = 0
-    capped = False
     y = [0] * n
-    fvals = [0.0] * n
 
     def descend(i, budget, nz):
         # budget = scale * (remaining T2) >= 0; nz: some chosen y is nonzero
@@ -353,12 +364,12 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                 c -= col[t] * yj
         # (m y_i - c)^2 <= budget / weight[i], over Z via one isqrt
         s = isqrt(budget // weight[i])
-        lo = -((s - c) // m)
+        lo = -((s - c) // m) if nz or not half else 0
         hi = (c + s) // m
         if i == 0:
             row = hi - lo + 1
             # the row through the zero vector (nz false) has bound 0
-            if nz and 0 < row and visited + row < cap:
+            if nz and 0 < row and visited + row < limit:
                 flo, fhi = float(lo), float(hi)
                 bound = 1.0
                 for j in range(n):
@@ -385,7 +396,7 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                     y[0] = yi
                     kept.append(tuple(y))
                     y[0] = 0
-                if visited >= cap:
+                if visited >= limit:
                     capped = True
                     return
             return
@@ -403,7 +414,20 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                 return
         y[i] = 0
 
-    descend(n - 1, radius_sq * scale, False)
+    # the half walk stops once 2 visited >= cap; then the full one runs
+    for half, limit in ((True, (cap + 1) // 2), (False, cap)):
+        kept = []
+        visited = rows_skipped = 0
+        capped = False
+        fvals = [0.0] * n
+        descend(n - 1, radius_sq * scale, False)
+        if not capped:
+            break
+    if half:
+        kept += [tuple(-c for c in v) for v in kept]
+        kept.sort(key=lambda v: v[::-1])
+        visited *= 2
+        rows_skipped *= 2
     return kept, visited, capped, rows_skipped
 
 
@@ -519,7 +543,8 @@ def certify_principal(
 
     Returns the certificate, or NotFound when the budget runs out; that
     is inconclusive.  A dict passed as counters receives the number of
-    twisted tries and of vectors visited, whatever the outcome.
+    twisted tries, of vectors visited and the untwisted rounds (the
+    NotFound fields of those names), whatever the outcome.
     """
     if schedule is None:
         schedule = RadiusSchedule()
@@ -549,7 +574,7 @@ def certify_principal(
 
     def done(outcome):
         if counters is not None:
-            counters.update(tries=tries, enumerated=enumerated)
+            counters.update(tries=tries, enumerated=enumerated, rounds=tuple(rounds))
         return outcome
 
     # the untwisted walks share one reduction

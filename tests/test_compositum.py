@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capitula.compositum import (
+    EnumerationRound,
     IdealLatticeBasis,
     NotFound,
     PrincipalityCertificate,
@@ -438,10 +439,14 @@ def test_not_found_is_inconclusive_and_reported():
     assert isinstance(full, NotFound)
     assert not full.capped
     assert full.tries == 16
-    assert counters == {"tries": 16, "enumerated": full.enumerated}
-    base = full.rounds[0].radius_sq
-    assert [r.radius_sq for r in full.rounds] == [base, 2 * base]
-    assert all(0 <= r.rows_skipped and r.kept == 0 for r in full.rounds)
+    assert full.enumerated == 10108
+    assert counters == {"tries": 16, "enumerated": 10108, "rounds": full.rounds}
+    # both untwisted walks, pinned: radius base and 2 * base, visits,
+    # band-kept and rows counted unscanned
+    assert full.rounds == (
+        EnumerationRound(73626, 856, 0, 66),
+        EnumerationRound(147252, 9224, 0, 794),
+    )
     # enumerated adds the twisted visits to the untwisted rounds
     walked = sum(r.visited for r in full.rounds)
     assert walked <= full.enumerated <= walked + full.tries * TRY_VISITS
@@ -462,6 +467,8 @@ def test_certificate_of_985_is_pinned():
     cert = certify_principal(B, order, counters=counters)
     assert cert.alpha == (11, -19, -3, 1, 0, -2)
     assert counters["tries"] == 0
+    assert len(counters["rounds"]) == 2
+    assert counters["enumerated"] == sum(r.visited for r in counters["rounds"])
 
 
 def test_schedule_defaults():
@@ -587,7 +594,7 @@ def _random_walk_input(rng, n):
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 5),
+    n=st.integers(1, 6),
     radius_sq=st.integers(0, 400),
     band=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 500.0)),
     cap=st.integers(1, 3000),
@@ -602,12 +609,16 @@ def test_enumerate_short_matches_per_leaf_walk(seed, n, radius_sq, band, cap):
 
 def test_enumerate_short_cap_at_every_position():
     # every cap from 1 past the end, so some cap falls inside each
-    # skippable row; the zero vector's row is always among them
+    # skippable row; the zero vector's row is always among them.  A cap
+    # below the ball's size makes the half walk fall back to the full
+    # one.  The radius is a multiple of the largest diagonal entry: at
+    # n = 5 once (292 vectors), since four times holds 10,036, too many
+    # to walk once per cap
     rng = random.Random(11)
-    for n in (2, 3, 4):
+    for n, diagonals in ((2, 4), (3, 4), (4, 4), (5, 1)):
         gram, rows = _random_walk_input(rng, n)
         filt = (rows, 0.5, 4.0)
-        radius_sq = 4 * max(gram[i][i] for i in range(n))
+        radius_sq = diagonals * max(gram[i][i] for i in range(n))
         _, total, _, skipped = _enumerate_short(gram, radius_sq, 10**9, filt)
         assert skipped > 0
         for cap in range(1, total + 2):
