@@ -26,20 +26,22 @@ the search goes on with seeded twisted tries, the Arakelov form of
 Buchmann's principal-ideal method: the lattice is walked under the
 trace form twisted by exp(2 s_j) on the j-th embedding, with s random
 in the trace-zero hyperplane, which rebalances a generator whose
-log-conjugates lie along s.  The twists come from a random.Random
-seeded by the order's discriminant and the ideal's HNF, one stream
-per ideal.  Every candidate is judged purely in integers: the norm is
-the tower norm above, and the containment witness is re-derived by
-back-substitution against the HNF rows.  Floating-point embeddings,
-plain `math` floats built inside `certify_principal`, only steer the
-search.  A band on the approximate norm pre-screens candidates, and a
-float lower bound on that norm lets whole leaf rows of the walk be
-counted unscanned.  In the twisted tries the floats also choose the
-reduced basis: the twisted conjugates are rounded to integers before
-LLL.  None of this carries a proven error bound, and it can cost a
-candidate but never a wrong answer, because every accept is exact.
-The generator found is deterministic on one machine; with another
-libm's exp or cos it could differ.
+log-conjugates lie along s.  Each try twists the basis the untwisted
+walks already reduced, not the HNF rows, so its LLL starts nearer a
+reduced basis and makes fewer swaps.  The twists come from a
+random.Random seeded by the order's discriminant and the ideal's HNF,
+one stream per ideal.  Every candidate is judged purely in integers:
+the norm is the tower norm above, and the containment witness is
+re-derived by back-substitution against the HNF rows.
+Floating-point embeddings, plain `math` floats built inside
+`certify_principal`, only steer the search.  A band on the approximate
+norm pre-screens candidates, and a float lower bound on that norm lets
+whole leaf rows of the walk be counted unscanned.  In the twisted
+tries the floats also choose the reduced basis: the twisted conjugates
+are rounded to integers before LLL.  None of this carries a proven
+error bound, and it can cost a candidate but never a wrong answer,
+because every accept is exact.  The generator found is deterministic
+on one machine; with another libm's exp or cos it could differ.
 """
 
 from __future__ import annotations
@@ -276,12 +278,14 @@ class NotFound:
     generators need not be short.  tries counts the twisted tries
     walked, enumerated the vectors visited by every walk, untwisted and
     twisted; capped means an untwisted walk stopped at max_vectors and
-    ended the search; rounds has one entry per untwisted walk."""
+    ended the search; rounds has one entry per untwisted walk;
+    lll_swaps counts the basis exchanges of every LLL reduction."""
 
     tries: int
     enumerated: int
     capped: bool = False
     rounds: tuple = ()
+    lll_swaps: int = 0
 
 
 def _iroot(x: int, k: int) -> int:
@@ -529,7 +533,8 @@ def certify_principal(
     First LLL-reduce the ideal's trace-form Gram matrix and walk it at
     two T2 radii (see RadiusSchedule).  Then run up to schedule.tries
     twisted tries: draw s from random.Random(repr((order.disc, B.hnf))),
-    round the float conjugates of the HNF rows scaled by exp(s_j) to
+    round the float conjugates of the untwisted reduced rows (the basis
+    the first two walks used, not the HNF rows) scaled by exp(s_j) to
     integers, LLL-reduce their Gram matrix and walk it, at most
     TRY_VISITS vectors.  Each walk keeps the vectors whose approximate
     norm falls in a generous factor-4 band around the ideal norm,
@@ -543,8 +548,9 @@ def certify_principal(
 
     Returns the certificate, or NotFound when the budget runs out; that
     is inconclusive.  A dict passed as counters receives the number of
-    twisted tries, of vectors visited and the untwisted rounds (the
-    NotFound fields of those names), whatever the outcome.
+    twisted tries, of vectors visited, the untwisted rounds and the LLL
+    swaps of every reduction (the NotFound fields of those names),
+    whatever the outcome.
     """
     if schedule is None:
         schedule = RadiusSchedule()
@@ -554,10 +560,9 @@ def certify_principal(
     tries = 0
     enumerated = 0
 
-    def walk(red_gram, U, radius_sq, cap):
+    def walk(red_gram, redrows, radius_sq, cap):
         # walk a reduced basis; test the kept vectors in the order of its form
         nonlocal enumerated
-        redrows = [_mat_vec(list(U[i]), hnf) for i in range(n)]
         filt = (_band_rows(emb, redrows), B.norm / 4.0, B.norm * 4.0)
         vectors, visited, capped, skipped = _enumerate_short(
             red_gram, radius_sq, cap, filt
@@ -574,34 +579,41 @@ def certify_principal(
 
     def done(outcome):
         if counters is not None:
-            counters.update(tries=tries, enumerated=enumerated, rounds=tuple(rounds))
+            counters.update(
+                tries=tries, enumerated=enumerated, rounds=tuple(rounds), lll_swaps=lll_swaps
+            )
         return outcome
 
     # the untwisted walks share one reduction
     gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
-    red_gram, U = lll_reduce_gram(gram_i)
+    red_gram, U, lll_swaps = lll_reduce_gram(gram_i)
+    base = [_mat_vec(U[i], hnf) for i in range(n)]
     det_gram = order.disc * B.norm * B.norm
     base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
     rounds = []
     for radius_sq in (base_sq, 2 * base_sq):
-        cert, rnd, capped = walk(red_gram, U, radius_sq, schedule.max_vectors)
+        cert, rnd, capped = walk(red_gram, base, radius_sq, schedule.max_vectors)
         rounds.append(rnd)
         if cert is not None:
             return done(cert)
         if capped:
-            return done(NotFound(tries, enumerated, True, tuple(rounds)))
+            return done(NotFound(tries, enumerated, True, tuple(rounds), lll_swaps))
 
+    # the tries twist the reduced basis: their LLL starts near reduced
     rng = random.Random(repr((order.disc, B.hnf)))
-    conj = _band_rows(emb, hnf)
+    conj = _band_rows(emb, base)
     twist_sq = 32 * schedule.c0 * n * (_iroot(B.norm * B.norm, n) + 1)
     cap = min(TRY_VISITS, schedule.max_vectors)
     for tries in range(1, schedule.tries + 1):
         gram, k = _twisted_gram(conj, _twist(rng, n))
         radius_sq = twist_sq << 2 * k if k >= 0 else twist_sq >> -2 * k
-        cert = walk(*lll_reduce_gram(gram), radius_sq, cap)[0]
+        red_gram, U, swaps = lll_reduce_gram(gram)
+        lll_swaps += swaps
+        redrows = [_mat_vec(U[i], base) for i in range(n)]
+        cert = walk(red_gram, redrows, radius_sq, cap)[0]
         if cert is not None:
             return done(cert)
-    return done(NotFound(tries, enumerated, False, tuple(rounds)))
+    return done(NotFound(tries, enumerated, False, tuple(rounds), lll_swaps))
 
 
 def _certificate(alpha, nval, B, hnf, order) -> PrincipalityCertificate:

@@ -218,12 +218,15 @@ def lll_reduce_gram(gram: list[list[int]]):
     """LLL-reduce a lattice given only its (integer, positive definite)
     Gram matrix.
 
-    Returns (new_gram, U) with U unimodular and new_gram = U G U^T.
-    All-integer LLL (Cohen, Alg. 2.6.7): the Gram matrix, U and the
-    integral Gram-Schmidt data of `gram_schmidt_int` are updated in
-    place at each size reduction and swap, so no step recomputes them.
-    Size reduction rounds half up, and the output satisfies
-    |mu_ij| <= 1/2 and the Lovasz condition with LLL_DELTA.
+    Returns (new_gram, U, swaps) with U unimodular, new_gram = U G U^T
+    and swaps the number of basis exchanges made.  All-integer LLL
+    (Cohen, Alg. 2.6.7): the Gram matrix, U and the integral
+    Gram-Schmidt data of `gram_schmidt_int` are updated in place at
+    each size reduction and swap, so no step recomputes them.  Size
+    reduction rounds half up, and the output satisfies |mu_ij| <= 1/2
+    and the Lovasz condition with LLL_DELTA.  Its own output comes
+    back unchanged, with U = 1 and no swap: size reduction leaves every
+    mu_ij in [-1/2, 1/2), where rounding half up gives 0.
     """
     n = len(gram)
     g = [list(r) for r in gram]
@@ -268,14 +271,16 @@ def lll_reduce_gram(gram: list[list[int]]):
         d[k] = b
 
     k = 1
+    swaps = 0
     while k < n:
         reduce(k, k - 1)
         lm = lam[k][k - 1]
         if den * (d[k + 1] * d[k - 1] + lm * lm) < num * d[k] * d[k]:
             swap(k)
+            swaps += 1
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return g, u
+    return g, u, swaps

@@ -205,7 +205,8 @@ def test_certify_starved_schedule_inconclusive(runner, tmp_path):
     assert rec["not_found"]["tries"] == 16
     assert rec["not_found"]["enumerated"] > 0
     assert len(rec["not_found"]["rounds"]) == 2
-    assert not {"tries", "enumerated", "rounds"} & rec.keys()
+    assert rec["not_found"]["lll_swaps"] > 0
+    assert not {"tries", "enumerated", "rounds", "lll_swaps"} & rec.keys()
 
 
 def test_twisted_tries_certify_and_record_where_the_search_went():
@@ -220,8 +221,11 @@ def test_twisted_tries_certify_and_record_where_the_search_went():
         assert record["enumerated"] > sum(r["visited"] for r in record["rounds"])
         base = record["rounds"][0]["radius_sq"]
         assert [r["radius_sq"] for r in record["rounds"]] == [base, 2 * base]
-        assert not {"tries", "rounds"} & record["certificate"].keys()
+        assert record["lll_swaps"] > 0
+        assert not {"tries", "rounds", "lll_swaps"} & record["certificate"].keys()
         assert reverify_record(json.loads(json.dumps(record)))
+        # the counters are where the search went, not part of the proof
+        assert reverify_record(json.loads(json.dumps({**record, "lll_swaps": -1})))
 
 
 def test_certificate_does_not_depend_on_the_hash_seed():

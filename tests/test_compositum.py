@@ -297,7 +297,7 @@ def test_lll_transform_is_unimodular():
             [sum(basis[r][k] * basis[c][k] for k in range(n)) for c in range(n)]
             for r in range(n)
         ]
-        red, U = lll_reduce_gram([row[:] for row in gram])
+        red, U, _ = lll_reduce_gram([row[:] for row in gram])
         assert abs(det_bareiss([list(r) for r in U])) == 1
         recomputed = [
             [
@@ -313,6 +313,9 @@ def test_lll_transform_is_unimodular():
             assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
         for k in range(1, n):
             assert b[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * b[k - 1]
+        # and reducing it again changes nothing: U = 1 and no swap
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert lll_reduce_gram(red) == (red, identity, 0)
 
 
 def test_iroot_brute():
@@ -330,9 +333,14 @@ def test_certify_unit_ideal():
     order = order_2_7()
     B = extend_ideal(QuadIdeal(make_field(2), 1, 0), order)
     assert B.norm == 1
-    cert = certify_principal(B, order)
+    counters = {}
+    cert = certify_principal(B, order, counters=counters)
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 1
+    # found in the first walk, after the one untwisted reduction
+    assert counters["tries"] == 0
+    assert len(counters["rounds"]) == 1
+    assert counters["lll_swaps"] == 4
 
 
 def test_certify_principal_prime_from_L():
@@ -440,7 +448,13 @@ def test_not_found_is_inconclusive_and_reported():
     assert not full.capped
     assert full.tries == 16
     assert full.enumerated == 10108
-    assert counters == {"tries": 16, "enumerated": 10108, "rounds": full.rounds}
+    # swaps: 6 in the untwisted reduction (the capped run's only one),
+    # the rest in the 16 twisted ones
+    assert out.lll_swaps == 6
+    assert full.lll_swaps == 627
+    assert counters == {
+        "tries": 16, "enumerated": 10108, "rounds": full.rounds, "lll_swaps": 627
+    }
     # both untwisted walks, pinned: radius base and 2 * base, visits,
     # band-kept and rows counted unscanned
     assert full.rounds == (
@@ -469,6 +483,27 @@ def test_certificate_of_985_is_pinned():
     assert counters["tries"] == 0
     assert len(counters["rounds"]) == 2
     assert counters["enumerated"] == sum(r.visited for r in counters["rounds"])
+    assert counters["lll_swaps"] == 22
+
+
+@pytest.mark.parametrize(
+    "d, alpha, tries",
+    [
+        (142, (-302563, -93133, -470455, -25392, -7816, -39482), 2),
+        (254, (-741852, -3745538, -2408775, 46548, 235016, 151140), 8),
+    ],
+)
+def test_twisted_try_certificates_are_pinned(d, alpha, tries):
+    # off the T2 ball: found by the seeded twisted tries, whose twists
+    # are applied to the untwisted reduced basis
+    L = make_field(d)
+    order = build_compositum(L, make_subfield(7, 3))
+    B = extend_ideal(prime_ideal_above(L, 7), order)
+    counters = {}
+    cert = certify_principal(B, order, RadiusSchedule(max_doublings=2), counters)
+    assert cert.alpha == alpha
+    assert cert.norm_alpha == -343
+    assert counters["tries"] == tries
 
 
 def test_schedule_defaults():
