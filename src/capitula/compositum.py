@@ -16,11 +16,16 @@ The generator search is lattice business.  An ideal of L extended to
 M is a full-rank sublattice in Hermite normal form.  Its Gram matrix
 under the trace form (the T2 quadratic form, M is totally real) is
 reduced by all-integer LLL and walked twice, at a T2 radius and at
-twice that radius, both driven by the same integral Gram-Schmidt
-data.  Every walk covers half the ball, the vectors whose last nonzero
-coordinate is positive, and mirrors what it keeps: y and -y have the
-same |N|, and the floats that judge -y are exactly those of y negated,
-so the mirrored list is the full walk's, bit for bit.  A generator
+twice that radius.  The ideal comes from L, so Gal(M/L) = <tau> fixes
+it, and tau and -1 keep T2 and |N|: when F is cubic the two walks run
+in an orbit basis b0, b1, b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2, with
+b0 the reduced basis's first row and I = Z b0 + Z b1, take one vector
+of each orbit of six (of two in the plane of I) and expand what they
+keep, which gives the reduced basis's walk, kept set and counts.  A
+walk cut at its cap, and every twisted try, covers half the ball, the
+vectors whose last nonzero coordinate is positive, and mirrors what it
+keeps: y and -y have the same |N|, and the floats that judge -y are
+exactly those of y negated.  A generator
 need not be short in T2: its conjugates can be far from balanced.  So
 the search goes on with seeded twisted tries, the Arakelov form of
 Buchmann's principal-ideal method: the lattice is walked under the
@@ -307,7 +312,7 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _enumerate_short(gram, radius_sq, cap, filt):
+def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     """Nonzero integer vectors y with y G y^t <= radius_sq, by
     Fincke-Pohst depth-first descent.  Exact: the quadratic form is
     split as sum_i z_i^2 / (d_i d_{i+1}) with the integral
@@ -326,17 +331,32 @@ def _enumerate_short(gram, radius_sq, cap, filt):
     vector exactly, and a miss costs completeness of the *kept* list
     only, never of the walk.
 
-    The ball is symmetric, so the walk takes half of it: y and -y give
-    the same |N|, and negating a path negates every float of it
-    exactly, so the band test and the row bound decide alike for both.
-    While every higher coordinate is zero the centre is 0 and the isqrt
-    interval is symmetric, so there the walk takes y_i >= 0 (y_0 >= 1
-    in the zero row).  Each kept vector is mirrored and the list sorted
-    back into depth-first order (key y[::-1]); visited and rows_skipped
-    double.  The output is that of the full walk, bit for bit.  A cap
-    selects the first cap vectors in depth-first order, which half a
-    ball cannot give, so once the half shows 2 visited >= cap the ball
-    is walked again in full order up to the cap.
+    The walk takes one vector of each orbit of a symmetry of the ball
+    and of |N|: the first nonzero block of coordinates from the top
+    lies in a fundamental domain of that block's units.  A block of one
+    coordinate has the units +-1 and the domain y_i >= 1: negating a
+    path negates every float of it exactly, so the band test and the
+    row bound decide alike for y and -y.  With pairs = k > 0 the basis
+    is b_0..b_{k-1} followed by the pairs (b_j eta_1, b_j eta_2), j < k,
+    with eta_1, eta_2 periods of a cubic F (the orbit basis of
+    `_orbit_basis`, n = 3k).  The generator tau of Gal(M/L) fixes each
+    b_j and maps the pair's coefficients (a, c) to (-c, a - c), moving
+    c b_j into b_j's own coordinate: a cube root of unity zeta acting
+    on Z[zeta].  Each pair is a block with the six units +-zeta^i and
+    the 60 degree sector c >= 0, a > c as its domain; tau permutes the
+    embeddings, so the floats of an image agree with its
+    representative's up to rounding.  While every higher block is zero
+    the centre is 0 and the isqrt interval is symmetric, so there the
+    walk takes y_i >= 0 (and a >= c + 1 below a nonzero c).  A vector
+    whose first nonzero block is a pair counts 6 in visited, a row of
+    them 6 in rows_skipped, otherwise 2; each kept vector is expanded
+    to its 6 or 2 images and the list sorted back into depth-first
+    order (key y[::-1]), so the output is that of the full walk.  A
+    cap selects the first cap vectors in depth-first order, which a
+    part of the ball cannot give: once visited >= cap the walk without
+    pairs walks the ball again in full order up to the cap, and a walk
+    with pairs stops there, capped, for its caller to walk again in
+    another basis.
 
     Returns (kept, visited, capped, rows_skipped): visited counts every
     nonzero vector in the radius, capped reports an early stop at the
@@ -355,9 +375,16 @@ def _enumerate_short(gram, radius_sq, cap, filt):
     fcol = [[float(rows[j][i]) for j in range(n)] for i in range(n)]
     fc0 = fcol[0]
     y = [0] * n
+    # orbit sizes in the half walk: a vector whose first nonzero block
+    # starts at y_i has sizes[i] images.  A pair is (a, c) = (y_i, y_{i+1})
+    # at i = pairs + 2j, and a nonzero one has a > c >= 0, so a != 0: its
+    # six are counted at a, none at c
+    sizes = [2] * pairs + [6, 0] * pairs if pairs else [2] * n
+    pair_a = [size == 6 for size in sizes]
 
-    def descend(i, budget, nz):
-        # budget = scale * (remaining T2) >= 0; nz: some chosen y is nonzero
+    def descend(i, budget, mult):
+        # budget = scale * (remaining T2) >= 0; mult: the multiplicity of
+        # the orbit of the vectors below, 0 while every higher y is zero
         nonlocal visited, capped, rows_skipped
         m = d[i + 1]
         col = lamcols[i]
@@ -368,12 +395,14 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                 c -= col[t] * yj
         # (m y_i - c)^2 <= budget / weight[i], over Z via one isqrt
         s = isqrt(budget // weight[i])
-        lo = -((s - c) // m) if nz or not half else 0
+        lo = -((s - c) // m)
         hi = (c + s) // m
+        if half and not mult:
+            lo = max(lo, y[i + 1] + 1) if pair_a[i] and y[i + 1] else 0
         if i == 0:
             row = hi - lo + 1
-            # the row through the zero vector (nz false) has bound 0
-            if nz and 0 < row and visited + row < limit:
+            # the row through the zero vector (mult 0) has bound 0
+            if mult and 0 < row and visited + row * mult < cap:
                 flo, fhi = float(lo), float(hi)
                 bound = 1.0
                 for j in range(n):
@@ -386,13 +415,14 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                     else:
                         bound *= abs(a)
                 if bound > skip_above:
-                    visited += row
-                    rows_skipped += 1
+                    visited += row * mult
+                    rows_skipped += mult
                     return
+            step = mult or units[0]
             for yi in range(lo, hi + 1):
-                if yi == 0 and not nz:
+                if yi == 0 and not mult:
                     continue
-                visited += 1
+                visited += step
                 prod = 1.0
                 for j in range(n):
                     prod *= fvals[j] + yi * fc0[j]
@@ -400,39 +430,53 @@ def _enumerate_short(gram, radius_sq, cap, filt):
                     y[0] = yi
                     kept.append(tuple(y))
                     y[0] = 0
-                if visited >= limit:
+                if visited >= cap:
                     capped = True
                     return
             return
         fc = fcol[i]
         base = fvals[:]
         w = weight[i]
+        unit = units[i]
         for yi in range(lo, hi + 1):
             z = yi * m - c
             y[i] = yi
             for j in range(n):
                 fvals[j] = base[j] + yi * fc[j]
-            descend(i - 1, budget - w * z * z, nz or yi != 0)
+            descend(i - 1, budget - w * z * z, mult or (unit if yi else 0))
             if capped:
                 y[i] = 0
                 return
         y[i] = 0
 
-    # the half walk stops once 2 visited >= cap; then the full one runs
-    for half, limit in ((True, (cap + 1) // 2), (False, cap)):
+    for half in (True, False):
+        units = sizes if half else [1] * n
         kept = []
         visited = rows_skipped = 0
         capped = False
         fvals = [0.0] * n
-        descend(n - 1, radius_sq * scale, False)
-        if not capped:
+        descend(n - 1, radius_sq * scale, 0)
+        if not capped or pairs:
             break
     if half:
-        kept += [tuple(-c for c in v) for v in kept]
+        kept = [u for v in kept for u in _orbit(v, pairs)]
         kept.sort(key=lambda v: v[::-1])
-        visited *= 2
-        rows_skipped *= 2
     return kept, visited, capped, rows_skipped
+
+
+def _orbit(v, pairs):
+    """The images of v under +-1 and, when its first nonzero block is a
+    pair of the orbit basis, under tau and tau^2 (see _enumerate_short)."""
+    images = [tuple(v)]
+    if pairs and any(v[pairs:]):
+        for _ in range(2):
+            u = list(images[-1])
+            for j in range(pairs):
+                a, c = u[pairs + 2 * j], u[pairs + 2 * j + 1]
+                u[j] -= c
+                u[pairs + 2 * j], u[pairs + 2 * j + 1] = -c, a - c
+            images.append(tuple(u))
+    return images + [tuple(-x for x in u) for u in images]
 
 
 def exact_norm(alpha, order: CompositumOrder) -> int:
@@ -495,6 +539,46 @@ def _band_rows(emb, basis):
     ]
 
 
+def _orbit_basis(order: CompositumOrder, hnf, U, base):
+    """The orbit basis of the ideal lattice for the untwisted walks, or
+    None when F is not cubic or the reduced basis's first row b0 is not
+    in I (then the walks keep the half walk).
+
+    Lambda = I.O_M is I (x) O_F, and O_F = Z + Z eta_1 + Z eta_2, so with
+    I = Z b0 + Z b1 the rows b0, b1, b0 eta_1, b0 eta_2, b1 eta_1,
+    b1 eta_2 are a basis on which tau acts as `_enumerate_short` needs
+    (pairs = 2).  An element of L has coordinates constant on each half,
+    (c, c, c, d, d, d), and I = Tr_{M/L}(Lambda) has the (c, d) of the
+    traces (sum x[:e], sum x[e:]) of the HNF rows.  b1 completes b0 to
+    a basis of I through an extended gcd and is size-reduced against b0.
+    Returns (gram, rows, to_reduced): the rows' trace-form Gram, the
+    rows in order coordinates, and the matrix with x.rows =
+    (x.to_reduced).base, so x.to_reduced are reduced coordinates."""
+    e, n = order.F.e, order.degree
+    b0 = base[0]
+    if e != 3 or len(set(b0[:e])) > 1 or len(set(b0[e:])) > 1:
+        return None
+    ideal = hnf_rows([[sum(r[:e]), sum(r[e:])] for r in hnf])
+    s = _solve_containment(ideal, (b0[0], b0[e]))
+    # b0 is primitive in Lambda, so gcd(s) = 1 = x s_0 + z s_1
+    _, x, z = hnf_rows([[s[0], 1, 0], [s[1], 0, 1]])[0]
+    c, dd = _mat_vec((-z, x), ideal)
+    b1 = [c] * e + [dd] * e
+    g00 = order.t2(b0)
+    k = (2 * _qform(order.gram, b1, b0) + g00) // (2 * g00)
+    b1 = [u - k * v for u, v in zip(b1, b0)]
+    ident = [[int(j == i) for j in range(n)] for i in range(n)]
+    rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in (1, 2)]
+    gram = [[0] * n for _ in rows]
+    for i, r in enumerate(rows):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = _qform(order.gram, r, rows[j])
+    # U^-1 is the right half of the HNF of [U | 1]
+    u_inv = [r[n:] for r in hnf_rows([list(u) + one for u, one in zip(U, ident)])]
+    to_reduced = [_mat_vec(_solve_containment(hnf, r), u_inv) for r in rows]
+    return gram, rows, to_reduced
+
+
 def _twist(rng: random.Random, n: int) -> list:
     """A twist s with sum s_j = 0: a Gaussian direction projected to
     the trace-zero hyperplane, with length uniform in [0, TWIST_MAX]."""
@@ -531,7 +615,10 @@ def certify_principal(
     """Search for a generator of the ideal lattice.
 
     First LLL-reduce the ideal's trace-form Gram matrix and walk it at
-    two T2 radii (see RadiusSchedule).  Then run up to schedule.tries
+    two T2 radii (see RadiusSchedule), in the orbit basis of
+    `_orbit_basis` when there is one; its kept vectors are mapped to
+    the reduced basis, so the walks keep what the reduced basis's walk
+    keeps.  Then run up to schedule.tries
     twisted tries: draw s from random.Random(repr((order.disc, B.hnf))),
     round the float conjugates of the untwisted reduced rows (the basis
     the first two walks used, not the HNF rows) scaled by exp(s_j) to
@@ -560,13 +647,24 @@ def certify_principal(
     tries = 0
     enumerated = 0
 
-    def walk(red_gram, redrows, radius_sq, cap):
-        # walk a reduced basis; test the kept vectors in the order of its form
+    def walk(red_gram, redrows, radius_sq, cap, orbit=None):
+        # walk a reduced basis, or its orbit basis and map what is kept
+        # back; test the kept vectors in the order of the reduced form
         nonlocal enumerated
-        filt = (_band_rows(emb, redrows), B.norm / 4.0, B.norm * 4.0)
-        vectors, visited, capped, skipped = _enumerate_short(
-            red_gram, radius_sq, cap, filt
-        )
+        band = (B.norm / 4.0, B.norm * 4.0)
+        capped = True
+        if orbit is not None:
+            gram, rows, to_reduced = orbit
+            kept, visited, capped, skipped = _enumerate_short(
+                gram, radius_sq, cap, (_band_rows(emb, rows), *band), 2
+            )
+            vectors = [_mat_vec(x, to_reduced) for x in kept]
+        if capped:
+            # no orbit basis, or its walk reached the cap: a cut there
+            # takes the reduced basis's depth-first order
+            vectors, visited, capped, skipped = _enumerate_short(
+                red_gram, radius_sq, cap, (_band_rows(emb, redrows), *band)
+            )
         enumerated += visited
         cert = None
         for _, y in sorted((_qform(red_gram, y, y), y) for y in vectors):
@@ -590,9 +688,10 @@ def certify_principal(
     base = [_mat_vec(U[i], hnf) for i in range(n)]
     det_gram = order.disc * B.norm * B.norm
     base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
+    orbit = _orbit_basis(order, hnf, U, base)
     rounds = []
     for radius_sq in (base_sq, 2 * base_sq):
-        cert, rnd, capped = walk(red_gram, base, radius_sq, schedule.max_vectors)
+        cert, rnd, capped = walk(red_gram, base, radius_sq, schedule.max_vectors, orbit)
         rounds.append(rnd)
         if cert is not None:
             return done(cert)

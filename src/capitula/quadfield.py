@@ -223,19 +223,20 @@ def _walk(L: QuadraticField, f):
     (P - s)/2 + w = (P + sqrt(D))/2, which lies in I_k, and divides by
     a_k.  The division is exact: a_k is in I_k, so u + v w is in I_0,
     and its product with an element of I_k lies in a_k I_0, inside
-    a_k O.
+    a_k O.  The step is `_rho_raw`'s, inlined.
     """
-    s, nw = L.s, L.norm_omega()
-    a = f[0]
+    s, nw, D, t = L.s, L.norm_omega(), L.disc, L.sqrt_disc_floor
+    a, B = f
     u, v = a, 0
     yield f, u, v
     for _ in range(10**6):
-        f, P = _rho_raw(L, f)
+        P = B - 2 * a * ((B + t) // (2 * a))
         h = (P - s) // 2
         # (u + v w)(h + w) with w^2 = s w - N(w)
         u, v = (u * h - v * nw) // a, (u + v * (h + s)) // a
-        a = f[0]
-        yield f, u, v
+        a = abs((D - P * P) // (4 * a))
+        B = -P % (2 * a)
+        yield (a, B), u, v
     raise ConsistencyError("reduction walk did not terminate")  # pragma: no cover
 
 

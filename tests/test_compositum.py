@@ -26,9 +26,15 @@ from capitula.compositum import (
     PrincipalityCertificate,
     TRY_VISITS,
     RadiusSchedule,
+    _band_rows,
     _embeddings,
     _enumerate_short,
     _iroot,
+    _mat_vec,
+    _orbit,
+    _orbit_basis,
+    _qform,
+    _solve_containment,
     build_compositum,
     certify_principal,
     exact_norm,
@@ -366,9 +372,13 @@ def test_flagship_capitulation_d79():
     assert is_principal(L, frak)[0] is False
     order = build_compositum(L, make_subfield(7, 3))
     B = extend_ideal(frak, order)
-    cert = certify_principal(B, order)
+    counters = {}
+    cert = certify_principal(B, order, counters=counters)
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 343
+    # the one untwisted round: radius, visits, band-kept and rows
+    # counted unscanned
+    assert counters["rounds"] == (EnumerationRound(5472, 8950, 18, 1538),)
     assert cert.ideal_norm == 343
     # the certificate README shows
     assert cert.alpha == (-7, -14, -24, 0, 0, -1)
@@ -439,6 +449,9 @@ def test_not_found_is_inconclusive_and_reported():
     assert len(out.rounds) == 1
     assert out.rounds[0].radius_sq > 0
     assert out.rounds[0].visited == out.enumerated == 500
+    # the orbit walk reaches the cap, so the round is walked again in
+    # the reduced basis's depth-first order: the cut is the half walk's
+    assert out.rounds == (EnumerationRound(73626, 500, 0, 34),)
     # without the cap both untwisted walks run, then 16 * 2^0 twisted tries
     counters = {}
     full = certify_principal(
@@ -481,7 +494,10 @@ def test_certificate_of_985_is_pinned():
     cert = certify_principal(B, order, counters=counters)
     assert cert.alpha == (11, -19, -3, 1, 0, -2)
     assert counters["tries"] == 0
-    assert len(counters["rounds"]) == 2
+    assert counters["rounds"] == (
+        EnumerationRound(50952, 8768, 0, 1514),
+        EnumerationRound(101904, 71344, 6, 9094),
+    )
     assert counters["enumerated"] == sum(r.visited for r in counters["rounds"])
     assert counters["lll_swaps"] == 22
 
@@ -504,6 +520,81 @@ def test_twisted_try_certificates_are_pinned(d, alpha, tries):
     assert cert.alpha == alpha
     assert cert.norm_alpha == -343
     assert counters["tries"] == tries
+
+
+def _untwisted(d, q, e=3):
+    """The ideal of the prime above q and its untwisted LLL reduction,
+    as certify_principal builds them."""
+    order = order_of(d, q, e)
+    B = extend_ideal(prime_ideal_above(make_field(d), q), order)
+    hnf = [list(r) for r in B.hnf]
+    red_gram, U, _ = lll_reduce_gram([[_qform(order.gram, r, c) for c in hnf] for r in hnf])
+    base = [_mat_vec(u, hnf) for u in U]
+    return order, B, hnf, U, base, red_gram
+
+
+def tau(order, x):
+    """tau: eta_i -> eta_{i+1} on order coordinates, fixing w."""
+    e = order.F.e
+    return [x[a * e + (i - 1) % e] for a in (0, 1) for i in range(e)]
+
+
+ORBIT_FIELDS = ((79, 7), (257, 13), (985, 19), (730, 79), (1171, 7))
+
+
+@pytest.mark.parametrize("d, q", ORBIT_FIELDS)
+def test_orbit_basis_of_the_ideal_lattice(d, q):
+    order, B, hnf, U, base, red_gram = _untwisted(d, q)
+    gram, rows, to_reduced = _orbit_basis(order, hnf, U, base)
+    b0, b1 = rows[:2]
+    assert b0 == base[0]
+    assert tau(order, b0) == b0 and tau(order, b1) == b1
+    assert all(_solve_containment(hnf, r) is not None for r in rows)
+    assert det_bareiss(gram) == det_bareiss(red_gram) == order.disc * B.norm**2
+    assert gram == [[_qform(order.gram, r, t) for t in rows] for r in rows]
+    # tau on the rows: b eta_1 -> b eta_2 -> b eta_0 = -b - b eta_1 - b eta_2
+    unit = [[int(j == i) for j in range(6)] for i in range(6)]
+    images = [unit[0], unit[1], unit[3], [-1, 0, -1, -1, 0, 0], unit[5], [0, -1, 0, 0, -1, -1]]
+    for r, img in zip(rows, images):
+        assert tau(order, r) == _mat_vec(img, rows)
+    # and the walk's own tau agrees on the pairs
+    for i in range(2, 6):
+        assert list(_orbit(unit[i], 2)[1]) == images[i]
+    # to_reduced maps orbit coordinates to reduced ones
+    for r, y in zip(rows, to_reduced):
+        assert _mat_vec(y, base) == r
+
+
+@pytest.mark.parametrize("d, q, pair_kept", [
+    (79, 7, 72), (257, 13, 42), (985, 19, 6), (730, 79, 0), (1171, 7, 0)
+])
+def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
+    # same visits, same rows counted unscanned and the same kept set,
+    # compared as elements of the order, at both untwisted radii;
+    # pair_kept counts the kept vectors that tau moves, whose images
+    # the walk adds itself
+    order, B, hnf, U, base, red_gram = _untwisted(d, q)
+    gram, rows, _ = _orbit_basis(order, hnf, U, base)
+    emb = _embeddings(order)
+    band = (B.norm / 4.0, B.norm * 4.0)
+    n = order.degree
+    base_sq = n * 2 * (_iroot(order.disc * B.norm**2, n) + 1)
+    moved = 0
+    for radius_sq in (base_sq, 2 * base_sq):
+        half = _enumerate_short(red_gram, radius_sq, 10**9, (_band_rows(emb, base), *band))
+        orbit = _enumerate_short(gram, radius_sq, 10**9, (_band_rows(emb, rows), *band), 2)
+        assert orbit[1:] == half[1:]
+        assert sorted(tuple(_mat_vec(x, rows)) for x in orbit[0]) == sorted(
+            tuple(_mat_vec(y, base)) for y in half[0]
+        )
+        moved += sum(1 for x in orbit[0] if any(x[2:]))
+    assert moved == pair_kept
+
+
+def test_no_orbit_basis_off_the_cubic_case():
+    # e = 5: the pairs would be Z[zeta_5]-blocks, so the half walk stays
+    order, B, hnf, U, base, _ = _untwisted(401, 41, 5)
+    assert _orbit_basis(order, hnf, U, base) is None
 
 
 def test_schedule_defaults():
