@@ -21,11 +21,13 @@ it, and tau and -1 keep T2 and |N|: when F is cubic the two walks run
 in an orbit basis b0, b1, b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2, with
 b0 the reduced basis's first row and I = Z b0 + Z b1, take one vector
 of each orbit of six (of two in the plane of I) and expand what they
-keep, which gives the reduced basis's walk, kept set and counts.  A
-walk cut at its cap, and every twisted try, covers half the ball, the
+keep, which gives the reduced basis's walk, kept set and counts.
+Every other walk, each twisted try included, covers half the ball, the
 vectors whose last nonzero coordinate is positive, and mirrors what it
 keeps: y and -y have the same |N|, and the floats that judge -y are
-exactly those of y negated.  A generator
+exactly those of y negated.  Each walk has a visit budget and stops
+when it is spent; the kept vectors are ranked afterwards, so the order
+of the walk never matters.  A generator
 need not be short in T2: its conjugates can be far from balanced.  So
 the search goes on with seeded twisted tries, the Arakelov form of
 Buchmann's principal-ideal method: the lattice is walked under the
@@ -65,9 +67,12 @@ from .quadfield import QuadIdeal, QuadraticField
 # clear the band before the row is counted unscanned
 ROW_SKIP_MARGIN = 1e-6
 
-# twisted tries: visits walked per try, the largest length of the
-# twist s, and the bits the shortest twisted row keeps when rounded
+# visit budgets of one untwisted walk and of one twisted try; an
+# untwisted walk that spends its budget ends the search, capped
+WALK_VISITS = 60_000_000
 TRY_VISITS = 5000
+# twisted tries: the largest length of the twist s, and the bits the
+# shortest twisted row keeps when rounded
 TWIST_MAX = 20.0
 TWIST_BITS = 40
 
@@ -108,9 +113,6 @@ class CompositumOrder:
         # Tr(w_a eta_i) = Tr_L(w_a) * Tr_F(eta_i) = -(2 if a == 0 else s)
         e = self.F.e
         return -2 * sum(x[:e]) - self.L.s * sum(x[e:])
-
-    def scalar_coords(self, k: int) -> tuple:
-        return tuple(k * c for c in self.one_coords)
 
     def t2(self, x) -> int:
         """Trace of x^2: the T2 form, since M is totally real."""
@@ -234,20 +236,17 @@ class RadiusSchedule:
     twice that, and each twisted try to 32 * c0 * 2e * N^(2/2e) in the
     twisted form, 64 times the T2 of a balanced generator at c0 = 2.
     After the untwisted walks come up to 16 * 2^max_doublings twisted
-    tries.  max_vectors caps each untwisted walk, and hitting it ends
-    the search inconclusive (capped), never wrong; a twisted try walks
-    at most min(TRY_VISITS, max_vectors) vectors.  Needs c0 >= 1,
-    max_doublings >= 0 and max_vectors >= 1."""
+    tries.  Each untwisted walk spends at most WALK_VISITS visits, and
+    spending them ends the search inconclusive (capped), never wrong; a
+    twisted try spends at most TRY_VISITS.  Needs c0 >= 1 and
+    max_doublings >= 0."""
 
     c0: int = 2
     max_doublings: int = 9
-    max_vectors: int = 60_000_000
 
     def __post_init__(self):
-        if self.c0 < 1 or self.max_doublings < 0 or self.max_vectors < 1:
-            raise ValueError(
-                f"need c0 >= 1, max_doublings >= 0 and max_vectors >= 1, got {self}"
-            )
+        if self.c0 < 1 or self.max_doublings < 0:
+            raise ValueError(f"need c0 >= 1 and max_doublings >= 0, got {self}")
 
     @property
     def tries(self) -> int:
@@ -282,7 +281,7 @@ class NotFound:
     """The search gave out without an exact-norm hit.  Inconclusive:
     generators need not be short.  tries counts the twisted tries
     walked, enumerated the vectors visited by every walk, untwisted and
-    twisted; capped means an untwisted walk stopped at max_vectors and
+    twisted; capped means an untwisted walk spent its WALK_VISITS and
     ended the search; rounds has one entry per untwisted walk;
     lll_swaps counts the basis exchanges of every LLL reduction."""
 
@@ -319,7 +318,7 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     Gram-Schmidt data of `gram_schmidt_int`, the remaining budget is
     an integer at one common scale, and every per-coordinate interval
     comes from an integer square root, never floats, so the walk
-    provably covers the ball (up to the visit cap).
+    provably covers the ball (unless it stops at the visit cap).
 
     filt is (rows, lo, hi): float embedding rows of the basis behind
     the Gram, and a band for |prod_j <row_j, y>|.  Only vectors inside
@@ -349,18 +348,20 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     the centre is 0 and the isqrt interval is symmetric, so there the
     walk takes y_i >= 0 (and a >= c + 1 below a nonzero c).  A vector
     whose first nonzero block is a pair counts 6 in visited, a row of
-    them 6 in rows_skipped, otherwise 2; each kept vector is expanded
-    to its 6 or 2 images and the list sorted back into depth-first
-    order (key y[::-1]), so the output is that of the full walk.  A
-    cap selects the first cap vectors in depth-first order, which a
-    part of the ball cannot give: once visited >= cap the walk without
-    pairs walks the ball again in full order up to the cap, and a walk
-    with pairs stops there, capped, for its caller to walk again in
-    another basis.
+    them 6 in rows_skipped, otherwise 2, and each kept vector is
+    expanded to its 6 or 2 images, so an uncapped walk keeps and counts
+    what the full walk does.
+
+    The cap is a visit budget: the walk stops, capped, as soon as
+    visited >= cap, and a row is counted unscanned only when that stays
+    below the cap, so a capped walk ends with cap <= visited < cap + 6
+    (cap + 2 without pairs).  What it kept up to then is expanded all
+    the same.  The kept list comes in no particular order; callers rank
+    it themselves.
 
     Returns (kept, visited, capped, rows_skipped): visited counts every
-    nonzero vector in the radius, capped reports an early stop at the
-    cap, rows_skipped the leaf rows the bound counted unscanned.
+    nonzero vector in the radius up to the cap, capped reports a stop
+    at the cap, rows_skipped the leaf rows the bound counted unscanned.
     """
     n = len(gram)
     d, lam = gram_schmidt_int(gram)
@@ -397,7 +398,7 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
         s = isqrt(budget // weight[i])
         lo = -((s - c) // m)
         hi = (c + s) // m
-        if half and not mult:
+        if not mult:
             lo = max(lo, y[i + 1] + 1) if pair_a[i] and y[i + 1] else 0
         if i == 0:
             row = hi - lo + 1
@@ -418,7 +419,7 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
                     visited += row * mult
                     rows_skipped += mult
                     return
-            step = mult or units[0]
+            step = mult or sizes[0]
             for yi in range(lo, hi + 1):
                 if yi == 0 and not mult:
                     continue
@@ -437,7 +438,7 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
         fc = fcol[i]
         base = fvals[:]
         w = weight[i]
-        unit = units[i]
+        unit = sizes[i]
         for yi in range(lo, hi + 1):
             z = yi * m - c
             y[i] = yi
@@ -449,19 +450,12 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
                 return
         y[i] = 0
 
-    for half in (True, False):
-        units = sizes if half else [1] * n
-        kept = []
-        visited = rows_skipped = 0
-        capped = False
-        fvals = [0.0] * n
-        descend(n - 1, radius_sq * scale, 0)
-        if not capped or pairs:
-            break
-    if half:
-        kept = [u for v in kept for u in _orbit(v, pairs)]
-        kept.sort(key=lambda v: v[::-1])
-    return kept, visited, capped, rows_skipped
+    kept = []
+    visited = rows_skipped = 0
+    capped = False
+    fvals = [0.0] * n
+    descend(n - 1, radius_sq * scale, 0)
+    return [u for v in kept for u in _orbit(v, pairs)], visited, capped, rows_skipped
 
 
 def _orbit(v, pairs):
@@ -616,14 +610,16 @@ def certify_principal(
 
     First LLL-reduce the ideal's trace-form Gram matrix and walk it at
     two T2 radii (see RadiusSchedule), in the orbit basis of
-    `_orbit_basis` when there is one; its kept vectors are mapped to
-    the reduced basis, so the walks keep what the reduced basis's walk
-    keeps.  Then run up to schedule.tries
+    `_orbit_basis` when there is one, else in the reduced basis, each
+    walk once and with a budget of WALK_VISITS visits; an orbit walk's
+    kept vectors are mapped to the reduced basis, so the walks keep
+    what the reduced basis's walk keeps.  A walk that spends its budget
+    ends the search, capped.  Then run up to schedule.tries
     twisted tries: draw s from random.Random(repr((order.disc, B.hnf))),
     round the float conjugates of the untwisted reduced rows (the basis
     the first two walks used, not the HNF rows) scaled by exp(s_j) to
-    integers, LLL-reduce their Gram matrix and walk it, at most
-    TRY_VISITS vectors.  Each walk keeps the vectors whose approximate
+    integers, LLL-reduce their Gram matrix and walk it, with a budget
+    of TRY_VISITS visits.  Each walk keeps the vectors whose approximate
     norm falls in a generous factor-4 band around the ideal norm,
     computed from double-precision embeddings of the reduced basis
     (math.sqrt(disc(L)) and the float periods); the band is untwisted,
@@ -648,23 +644,17 @@ def certify_principal(
     enumerated = 0
 
     def walk(red_gram, redrows, radius_sq, cap, orbit=None):
-        # walk a reduced basis, or its orbit basis and map what is kept
-        # back; test the kept vectors in the order of the reduced form
+        # walk the orbit basis when there is one and map what is kept
+        # back, else the reduced basis; test the kept vectors in the
+        # order of the reduced form
         nonlocal enumerated
-        band = (B.norm / 4.0, B.norm * 4.0)
-        capped = True
-        if orbit is not None:
-            gram, rows, to_reduced = orbit
-            kept, visited, capped, skipped = _enumerate_short(
-                gram, radius_sq, cap, (_band_rows(emb, rows), *band), 2
-            )
-            vectors = [_mat_vec(x, to_reduced) for x in kept]
-        if capped:
-            # no orbit basis, or its walk reached the cap: a cut there
-            # takes the reduced basis's depth-first order
-            vectors, visited, capped, skipped = _enumerate_short(
-                red_gram, radius_sq, cap, (_band_rows(emb, redrows), *band)
-            )
+        gram, rows, to_reduced = orbit or (red_gram, redrows, None)
+        filt = (_band_rows(emb, rows), B.norm / 4.0, B.norm * 4.0)
+        vectors, visited, capped, skipped = _enumerate_short(
+            gram, radius_sq, cap, filt, 2 if orbit else 0
+        )
+        if orbit:
+            vectors = [_mat_vec(x, to_reduced) for x in vectors]
         enumerated += visited
         cert = None
         for _, y in sorted((_qform(red_gram, y, y), y) for y in vectors):
@@ -691,7 +681,7 @@ def certify_principal(
     orbit = _orbit_basis(order, hnf, U, base)
     rounds = []
     for radius_sq in (base_sq, 2 * base_sq):
-        cert, rnd, capped = walk(red_gram, base, radius_sq, schedule.max_vectors, orbit)
+        cert, rnd, capped = walk(red_gram, base, radius_sq, WALK_VISITS, orbit)
         rounds.append(rnd)
         if cert is not None:
             return done(cert)
@@ -702,14 +692,13 @@ def certify_principal(
     rng = random.Random(repr((order.disc, B.hnf)))
     conj = _band_rows(emb, base)
     twist_sq = 32 * schedule.c0 * n * (_iroot(B.norm * B.norm, n) + 1)
-    cap = min(TRY_VISITS, schedule.max_vectors)
     for tries in range(1, schedule.tries + 1):
         gram, k = _twisted_gram(conj, _twist(rng, n))
         radius_sq = twist_sq << 2 * k if k >= 0 else twist_sq >> -2 * k
         red_gram, U, swaps = lll_reduce_gram(gram)
         lll_swaps += swaps
         redrows = [_mat_vec(U[i], base) for i in range(n)]
-        cert = walk(red_gram, redrows, radius_sq, cap)[0]
+        cert = walk(red_gram, redrows, radius_sq, TRY_VISITS)[0]
         if cert is not None:
             return done(cert)
     return done(NotFound(tries, enumerated, False, tuple(rounds), lll_swaps))

@@ -91,9 +91,6 @@ class CyclotomicSubfield:
             for i in range(e)
         )
 
-    def poly_str(self) -> str:
-        return poly_str(self.period_poly)
-
 
 def poly_str(coeffs) -> str:
     """Render ascending integer coefficients as a human-readable polynomial."""

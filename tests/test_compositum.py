@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capitula import compositum
 from capitula.compositum import (
     EnumerationRound,
     IdealLatticeBasis,
@@ -183,7 +184,7 @@ def test_norm_of_scalars_and_subfield_elements():
     order = order_79_13()
     L = order.L
     assert exact_norm(order.one_coords, order) == 1
-    assert exact_norm(order.scalar_coords(5), order) == 5**6
+    assert exact_norm([5 * c for c in order.one_coords], order) == 5**6
     # x + y omega from L: norm is the quadratic norm cubed
     rng = random.Random(23)
     for _ in range(20):
@@ -434,29 +435,28 @@ def test_certificate_rejected_against_wrong_lattice():
     assert not verify_certificate(cert, other, order)
 
 
-def test_not_found_is_inconclusive_and_reported():
-    # a deliberately starved schedule on d = 223, which no budget tried
-    # so far certifies
+def test_not_found_is_inconclusive_and_reported(monkeypatch):
+    # a deliberately starved search on d = 223, which no budget tried
+    # so far certifies: the untwisted walks get 500 visits each
     L = make_field(223)
     order = build_compositum(L, make_subfield(37, 3))
     B = extend_ideal(prime_ideal_above(L, 37), order)
-    out = certify_principal(
-        B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=500)
-    )
+    with monkeypatch.context() as m:
+        m.setattr(compositum, "WALK_VISITS", 500)
+        out = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0))
     assert isinstance(out, NotFound)
     assert out.capped
     assert out.tries == 0
     assert len(out.rounds) == 1
     assert out.rounds[0].radius_sq > 0
-    assert out.rounds[0].visited == out.enumerated == 500
-    # the orbit walk reaches the cap, so the round is walked again in
-    # the reduced basis's depth-first order: the cut is the half walk's
-    assert out.rounds == (EnumerationRound(73626, 500, 0, 34),)
-    # without the cap both untwisted walks run, then 16 * 2^0 twisted tries
+    assert 500 <= out.rounds[0].visited == out.enumerated < 506
+    # the orbit walk is walked once and stops within the orbit that
+    # spends the budget, one of 6 or 2 visits
+    assert out.rounds == (EnumerationRound(73626, 502, 0, 18),)
+    # at the default budget both untwisted walks run, then 16 * 2^0
+    # twisted tries
     counters = {}
-    full = certify_principal(
-        B, order, RadiusSchedule(c0=1, max_doublings=0, max_vectors=10**9), counters
-    )
+    full = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0), counters)
     assert isinstance(full, NotFound)
     assert not full.capped
     assert full.tries == 16
@@ -477,9 +477,7 @@ def test_not_found_is_inconclusive_and_reported():
     # enumerated adds the twisted visits to the untwisted rounds
     walked = sum(r.visited for r in full.rounds)
     assert walked <= full.enumerated <= walked + full.tries * TRY_VISITS
-    two = certify_principal(
-        B, order, RadiusSchedule(c0=1, max_doublings=1, max_vectors=10**9)
-    )
+    two = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=1))
     assert two.rounds == full.rounds
     assert two.tries == 32
     assert two.enumerated >= full.enumerated
@@ -600,12 +598,12 @@ def test_no_orbit_basis_off_the_cubic_case():
 def test_schedule_defaults():
     s = RadiusSchedule()
     assert (s.c0, s.max_doublings) == (2, 9)
-    assert s.max_vectors == 60_000_000
+    assert compositum.WALK_VISITS == 60_000_000
     assert s.tries == 16 * 2**9
 
 
 def test_schedule_refuses_out_of_range():
-    for bad in ({"c0": 0}, {"c0": -1}, {"max_doublings": -1}, {"max_vectors": 0}):
+    for bad in ({"c0": 0}, {"c0": -1}, {"max_doublings": -1}):
         with pytest.raises(ValueError):
             RadiusSchedule(**bad)
 
@@ -717,6 +715,24 @@ def _random_walk_input(rng, n):
     return gram, rows
 
 
+def assert_within_budget(got, full, cap, pairs=0):
+    """The visit budget of _enumerate_short, against the full walk
+    (kept, visited) of the same ball: a cap past the ball's size walks
+    all of it; any other cap stops the walk once visited >= cap, before
+    one more orbit (2 vectors, 6 with pairs), with a part of the full
+    kept set that is closed under the walk's symmetry."""
+    kept, visited, capped, skipped = got
+    full_kept, total = full
+    assert 0 <= skipped <= visited
+    if cap > total:
+        assert (sorted(kept), visited, capped) == (sorted(full_kept), total, False)
+        return
+    assert capped
+    assert cap <= visited < cap + (6 if pairs else 2)
+    assert set(kept) <= set(full_kept)
+    assert set(kept) == {u for v in kept for u in _orbit(v, pairs)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -728,26 +744,35 @@ def _random_walk_input(rng, n):
 def test_enumerate_short_matches_per_leaf_walk(seed, n, radius_sq, band, cap):
     gram, rows = _random_walk_input(random.Random(seed), n)
     filt = (rows, min(band), max(band))
-    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt)
-    assert (kept, visited, capped) == reference_enumerate(gram, radius_sq, cap, filt)
-    assert 0 <= skipped <= visited
+    full = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
+    assert_within_budget(_enumerate_short(gram, radius_sq, cap, filt), full, cap)
 
 
 def test_enumerate_short_cap_at_every_position():
     # every cap from 1 past the end, so some cap falls inside each
-    # skippable row; the zero vector's row is always among them.  A cap
-    # below the ball's size makes the half walk fall back to the full
-    # one.  The radius is a multiple of the largest diagonal entry: at
-    # n = 5 once (292 vectors), since four times holds 10,036, too many
-    # to walk once per cap
+    # skippable row; the zero vector's row is always among them.  The
+    # radius is a multiple of the largest diagonal entry: at n = 5 once
+    # (292 vectors), since four times holds 10,036, too many to walk
+    # once per cap
     rng = random.Random(11)
+    walks = []
     for n, diagonals in ((2, 4), (3, 4), (4, 4), (5, 1)):
         gram, rows = _random_walk_input(rng, n)
-        filt = (rows, 0.5, 4.0)
         radius_sq = diagonals * max(gram[i][i] for i in range(n))
-        _, total, _, skipped = _enumerate_short(gram, radius_sq, 10**9, filt)
+        walks.append((gram, radius_sq, (rows, 0.5, 4.0), 0))
+    # and the orbit walk of d = 79 at half its first untwisted radius,
+    # with a band wide enough to keep vectors that tau moves
+    order, B, hnf, U, base, _ = _untwisted(79, 7)
+    gram, rows, _ = _orbit_basis(order, hnf, U, base)
+    filt = (_band_rows(_embeddings(order), rows), B.norm, B.norm * 64.0)
+    walks.append((gram, 2736, filt, 2))
+    for gram, radius_sq, filt, pairs in walks:
+        full = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
+        kept, total, _, skipped = _enumerate_short(gram, radius_sq, 10**9, filt, pairs)
         assert skipped > 0
+        assert total == full[1]
         for cap in range(1, total + 2):
-            got = _enumerate_short(gram, radius_sq, cap, filt)
-            assert got[:3] == reference_enumerate(gram, radius_sq, cap, filt)
-            assert got[2] == (cap <= total)
+            got = _enumerate_short(gram, radius_sq, cap, filt, pairs)
+            assert_within_budget(got, full, cap, pairs)
+    # the orbit walk kept vectors that tau moves
+    assert sum(1 for x in kept if any(x[2:])) == 42
