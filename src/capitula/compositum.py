@@ -15,27 +15,29 @@ norm in F, then an e x e determinant.
 The generator search is lattice business.  An ideal of L extended to
 M is a full-rank sublattice in Hermite normal form.  Its Gram matrix
 under the trace form (the T2 quadratic form, M is totally real) is
-reduced by all-integer LLL and walked twice, at a T2 radius and at
-twice that radius.  The ideal comes from L, so Gal(M/L) = <tau> fixes
-it, and tau and -1 keep T2 and |N|: when F is cubic the two walks run
-in an orbit basis b0, b1, b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2, with
-b0 the reduced basis's first row and I = Z b0 + Z b1, take one vector
-of each orbit of six (of two in the plane of I) and expand what they
-keep, which gives the reduced basis's walk, kept set and counts.
-Every other walk, each twisted try included, covers half the ball, the
-vectors whose last nonzero coordinate is positive, and mirrors what it
-keeps: y and -y have the same |N|, and the floats that judge -y are
-exactly those of y negated.  Each walk has a visit budget and stops
-when it is spent; the kept vectors are ranked afterwards, so the order
-of the walk never matters.  A generator
-need not be short in T2: its conjugates can be far from balanced.  So
+reduced by all-integer LLL, and the lattice is walked twice in the
+reduced basis, at a T2 radius and at twice that radius.  The ideal
+comes from L, so Gal(M/L) = <tau> fixes it, and tau and -1 keep T2
+and |N|: when F is cubic the two walks run instead in an orbit basis
+b0, b1, b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2, with b0, b1 the
+Lagrange-Gauss reduced basis of I = Tr_{M/L}(I.O_M) under T2, take
+one vector of each orbit of six (of two in the plane of I) and expand
+what they keep.  Every other walk, each twisted try included, covers
+half the ball, the vectors whose last nonzero coordinate is positive,
+and mirrors what it keeps: y and -y have the same |N|, and the floats
+that judge -y are exactly those of y negated.  Each walk has a visit
+budget and stops when it is spent; the kept vectors are ranked
+afterwards by the walk's form and then by the element itself in order
+coordinates, so neither the order of the walk nor its basis changes
+the generator.  A generator need not be short in T2: its conjugates
+can be far from balanced.  So
 the search goes on with seeded twisted tries, the Arakelov form of
 Buchmann's principal-ideal method: the lattice is walked under the
 trace form twisted by exp(2 s_j) on the j-th embedding, with s random
 in the trace-zero hyperplane, which rebalances a generator whose
-log-conjugates lie along s.  Each try twists the basis the untwisted
-walks already reduced, not the HNF rows, so its LLL starts nearer a
-reduced basis and makes fewer swaps.  The twists come from a
+log-conjugates lie along s.  Each try twists the LLL-reduced basis of
+the trace form, not the HNF rows, so its LLL starts nearer a reduced
+basis and makes fewer swaps.  The twists come from a
 random.Random seeded by the order's discriminant and the ideal's HNF,
 one stream per ideal.  Every candidate is judged purely in integers:
 the norm is the tower norm above, and the containment witness is
@@ -533,44 +535,35 @@ def _band_rows(emb, basis):
     ]
 
 
-def _orbit_basis(order: CompositumOrder, hnf, U, base):
+def _orbit_basis(order: CompositumOrder, hnf):
     """The orbit basis of the ideal lattice for the untwisted walks, or
-    None when F is not cubic or the reduced basis's first row b0 is not
-    in I (then the walks keep the half walk).
+    None when F is not cubic (then the walks keep the half walk).
 
     Lambda = I.O_M is I (x) O_F, and O_F = Z + Z eta_1 + Z eta_2, so with
     I = Z b0 + Z b1 the rows b0, b1, b0 eta_1, b0 eta_2, b1 eta_1,
     b1 eta_2 are a basis on which tau acts as `_enumerate_short` needs
     (pairs = 2).  An element of L has coordinates constant on each half,
     (c, c, c, d, d, d), and I = Tr_{M/L}(Lambda) has the (c, d) of the
-    traces (sum x[:e], sum x[e:]) of the HNF rows.  b1 completes b0 to
-    a basis of I through an extended gcd and is size-reduced against b0.
-    Returns (gram, rows, to_reduced): the rows' trace-form Gram, the
-    rows in order coordinates, and the matrix with x.rows =
-    (x.to_reduced).base, so x.to_reduced are reduced coordinates."""
+    traces (sum x[:e], sum x[e:]) of the HNF rows.  b0 and b1 are their
+    HNF, Lagrange-Gauss reduced under T2, so T2(b0) <= T2(b1) <=
+    T2(b1 +- b0).  Returns (gram, rows): the rows' trace-form Gram and
+    the rows in order coordinates."""
     e, n = order.F.e, order.degree
-    b0 = base[0]
-    if e != 3 or len(set(b0[:e])) > 1 or len(set(b0[e:])) > 1:
+    if e != 3:
         return None
-    ideal = hnf_rows([[sum(r[:e]), sum(r[e:])] for r in hnf])
-    s = _solve_containment(ideal, (b0[0], b0[e]))
-    # b0 is primitive in Lambda, so gcd(s) = 1 = x s_0 + z s_1
-    _, x, z = hnf_rows([[s[0], 1, 0], [s[1], 0, 1]])[0]
-    c, dd = _mat_vec((-z, x), ideal)
-    b1 = [c] * e + [dd] * e
-    g00 = order.t2(b0)
-    k = (2 * _qform(order.gram, b1, b0) + g00) // (2 * g00)
-    b1 = [u - k * v for u, v in zip(b1, b0)]
+    traces = hnf_rows([[sum(r[:e]), sum(r[e:])] for r in hnf])
+    b0, b1 = sorted(([c] * e + [dd] * e for c, dd in traces), key=order.t2)
+    # Lagrange-Gauss: size-reduce b1 against b0, swap while b1 is shorter
+    while True:
+        g0 = order.t2(b0)
+        k = (2 * _qform(order.gram, b1, b0) + g0) // (2 * g0)
+        b1 = [u - k * v for u, v in zip(b1, b0)]
+        if order.t2(b1) >= g0:
+            break
+        b0, b1 = b1, b0
     ident = [[int(j == i) for j in range(n)] for i in range(n)]
     rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in (1, 2)]
-    gram = [[0] * n for _ in rows]
-    for i, r in enumerate(rows):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = _qform(order.gram, r, rows[j])
-    # U^-1 is the right half of the HNF of [U | 1]
-    u_inv = [r[n:] for r in hnf_rows([list(u) + one for u, one in zip(U, ident)])]
-    to_reduced = [_mat_vec(_solve_containment(hnf, r), u_inv) for r in rows]
-    return gram, rows, to_reduced
+    return [[_qform(order.gram, r, t) for t in rows] for r in rows], rows
 
 
 def _twist(rng: random.Random, n: int) -> list:
@@ -611,22 +604,22 @@ def certify_principal(
     First LLL-reduce the ideal's trace-form Gram matrix and walk it at
     two T2 radii (see RadiusSchedule), in the orbit basis of
     `_orbit_basis` when there is one, else in the reduced basis, each
-    walk once and with a budget of WALK_VISITS visits; an orbit walk's
-    kept vectors are mapped to the reduced basis, so the walks keep
-    what the reduced basis's walk keeps.  A walk that spends its budget
-    ends the search, capped.  Then run up to schedule.tries
-    twisted tries: draw s from random.Random(repr((order.disc, B.hnf))),
-    round the float conjugates of the untwisted reduced rows (the basis
-    the first two walks used, not the HNF rows) scaled by exp(s_j) to
-    integers, LLL-reduce their Gram matrix and walk it, with a budget
+    walk once and with a budget of WALK_VISITS visits.  A walk that
+    spends its budget ends the search, capped.  Then run up to
+    schedule.tries twisted tries: draw s from
+    random.Random(repr((order.disc, B.hnf))), round the float conjugates
+    of the untwisted reduced rows (not the HNF rows) scaled by exp(s_j)
+    to integers, LLL-reduce their Gram matrix and walk it, with a budget
     of TRY_VISITS visits.  Each walk keeps the vectors whose approximate
     norm falls in a generous factor-4 band around the ideal norm,
-    computed from double-precision embeddings of the reduced basis
+    computed from double-precision embeddings of the basis walked
     (math.sqrt(disc(L)) and the float periods); the band is untwisted,
     since a twist with sum s_j = 0 leaves the norm unchanged.  The kept
-    vectors are ranked by the walk's form, then by coordinates, and the
-    first whose exact norm matches the ideal norm in absolute value is
-    the generator.  The accept decision is always exact, and
+    vectors x are ranked by the walk's form, then by alpha = x.rows in
+    order coordinates, compared from the last coordinate, so the rank
+    of an element does not depend on the basis walked; the first whose
+    exact norm matches the ideal norm in absolute value is the
+    generator.  The accept decision is always exact, and
     containment is re-derived independently for the certificate.
 
     Returns the certificate, or NotFound when the budget runs out; that
@@ -643,27 +636,21 @@ def certify_principal(
     tries = 0
     enumerated = 0
 
-    def walk(red_gram, redrows, radius_sq, cap, orbit=None):
-        # walk the orbit basis when there is one and map what is kept
-        # back, else the reduced basis; test the kept vectors in the
-        # order of the reduced form
+    def walk(gram, rows, radius_sq, cap, pairs):
+        # rank what the walk keeps by its own form, then by alpha read
+        # from the last coordinate, so alpha does not depend on the basis
         nonlocal enumerated
-        gram, rows, to_reduced = orbit or (red_gram, redrows, None)
         filt = (_band_rows(emb, rows), B.norm / 4.0, B.norm * 4.0)
-        vectors, visited, capped, skipped = _enumerate_short(
-            gram, radius_sq, cap, filt, 2 if orbit else 0
-        )
-        if orbit:
-            vectors = [_mat_vec(x, to_reduced) for x in vectors]
+        kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt, pairs)
         enumerated += visited
         cert = None
-        for _, y in sorted((_qform(red_gram, y, y), y) for y in vectors):
-            alpha = _mat_vec(y, redrows)
+        for _, colex in sorted((_qform(gram, x, x), _mat_vec(x, rows)[::-1]) for x in kept):
+            alpha = colex[::-1]
             nval = exact_norm(alpha, order)
             if abs(nval) == B.norm:
                 cert = _certificate(alpha, nval, B, hnf, order)
                 break
-        return cert, EnumerationRound(radius_sq, visited, len(vectors), skipped), capped
+        return cert, EnumerationRound(radius_sq, visited, len(kept), skipped), capped
 
     def done(outcome):
         if counters is not None:
@@ -672,16 +659,18 @@ def certify_principal(
             )
         return outcome
 
-    # the untwisted walks share one reduction
+    # one reduction: the half walk's basis off the cubic case, and the
+    # basis every twisted try starts from
     gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
     red_gram, U, lll_swaps = lll_reduce_gram(gram_i)
     base = [_mat_vec(U[i], hnf) for i in range(n)]
     det_gram = order.disc * B.norm * B.norm
     base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
-    orbit = _orbit_basis(order, hnf, U, base)
+    orbit = _orbit_basis(order, hnf)
+    gram, rows, pairs = (*orbit, 2) if orbit else (red_gram, base, 0)
     rounds = []
     for radius_sq in (base_sq, 2 * base_sq):
-        cert, rnd, capped = walk(red_gram, base, radius_sq, WALK_VISITS, orbit)
+        cert, rnd, capped = walk(gram, rows, radius_sq, WALK_VISITS, pairs)
         rounds.append(rnd)
         if cert is not None:
             return done(cert)
@@ -698,7 +687,7 @@ def certify_principal(
         red_gram, U, swaps = lll_reduce_gram(gram)
         lll_swaps += swaps
         redrows = [_mat_vec(U[i], base) for i in range(n)]
-        cert = walk(red_gram, redrows, radius_sq, TRY_VISITS)[0]
+        cert = walk(red_gram, redrows, radius_sq, TRY_VISITS, 0)[0]
         if cert is not None:
             return done(cert)
     return done(NotFound(tries, enumerated, False, tuple(rounds), lll_swaps))

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -605,3 +606,17 @@ def test_no_assert_statements_in_the_package():
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
+def test_readme_library_example_gives_the_transcript_alpha(capsys):
+    # the README's "Library use" block, run as written, finds the
+    # generator its `capitula certify --d 79 --p 3` transcript shows
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", text, re.M | re.S).group(1)
+    shown = re.search(r"^generator alpha = (\[.*\])$", text, re.M).group(1)
+    namespace = {}
+    exec(block, namespace)
+    cert = namespace["cert"]
+    assert list(cert.alpha) == json.loads(shown) == [-7, -14, -24, 0, 0, -1]
+    assert capsys.readouterr().out == f"{cert.alpha} {cert.norm_alpha}\n"
+    assert cert.norm_alpha == -343

@@ -528,7 +528,7 @@ def _untwisted(d, q, e=3):
     hnf = [list(r) for r in B.hnf]
     red_gram, U, _ = lll_reduce_gram([[_qform(order.gram, r, c) for c in hnf] for r in hnf])
     base = [_mat_vec(u, hnf) for u in U]
-    return order, B, hnf, U, base, red_gram
+    return order, B, hnf, base, red_gram
 
 
 def tau(order, x):
@@ -542,9 +542,14 @@ ORBIT_FIELDS = ((79, 7), (257, 13), (985, 19), (730, 79), (1171, 7))
 
 @pytest.mark.parametrize("d, q", ORBIT_FIELDS)
 def test_orbit_basis_of_the_ideal_lattice(d, q):
-    order, B, hnf, U, base, red_gram = _untwisted(d, q)
-    gram, rows, to_reduced = _orbit_basis(order, hnf, U, base)
+    order, B, hnf, base, red_gram = _untwisted(d, q)
+    gram, rows = _orbit_basis(order, hnf)
     b0, b1 = rows[:2]
+    # b0 and b1 are Lagrange-Gauss reduced under T2, and b0 is the
+    # reduced basis's first row: both walks split the ball into the same
+    # leaf rows, the lines along b0, and count the same rows unscanned
+    plus, minus = ([u + s * v for u, v in zip(b1, b0)] for s in (1, -1))
+    assert order.t2(b0) <= order.t2(b1) <= min(order.t2(plus), order.t2(minus))
     assert b0 == base[0]
     assert tau(order, b0) == b0 and tau(order, b1) == b1
     assert all(_solve_containment(hnf, r) is not None for r in rows)
@@ -558,9 +563,6 @@ def test_orbit_basis_of_the_ideal_lattice(d, q):
     # and the walk's own tau agrees on the pairs
     for i in range(2, 6):
         assert list(_orbit(unit[i], 2)[1]) == images[i]
-    # to_reduced maps orbit coordinates to reduced ones
-    for r, y in zip(rows, to_reduced):
-        assert _mat_vec(y, base) == r
 
 
 @pytest.mark.parametrize("d, q, pair_kept", [
@@ -571,8 +573,8 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     # compared as elements of the order, at both untwisted radii;
     # pair_kept counts the kept vectors that tau moves, whose images
     # the walk adds itself
-    order, B, hnf, U, base, red_gram = _untwisted(d, q)
-    gram, rows, _ = _orbit_basis(order, hnf, U, base)
+    order, B, hnf, base, red_gram = _untwisted(d, q)
+    gram, rows = _orbit_basis(order, hnf)
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
     n = order.degree
@@ -591,8 +593,26 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
 
 def test_no_orbit_basis_off_the_cubic_case():
     # e = 5: the pairs would be Z[zeta_5]-blocks, so the half walk stays
-    order, B, hnf, U, base, _ = _untwisted(401, 41, 5)
-    assert _orbit_basis(order, hnf, U, base) is None
+    order, B, hnf, *_ = _untwisted(401, 41, 5)
+    assert _orbit_basis(order, hnf) is None
+
+
+@pytest.mark.parametrize("d, q", [(79, 7), (257, 13), (985, 19), (142, 7), (254, 7)])
+def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
+    # without the orbit basis the untwisted walks take the half walk in
+    # the reduced basis; what a walk keeps is ranked by its form and then
+    # by alpha itself, never by the walk's coordinates, so the
+    # certificate and every counter stay the same
+    order, B, hnf, *_ = _untwisted(d, q)
+    assert _orbit_basis(order, hnf) is not None
+    schedule = RadiusSchedule(max_doublings=2)
+    results = []
+    for _ in range(2):
+        counters = {}
+        results.append((certify_principal(B, order, schedule, counters), counters))
+        monkeypatch.setattr(compositum, "_orbit_basis", lambda order, hnf: None)
+    assert isinstance(results[0][0], PrincipalityCertificate)
+    assert results[1] == results[0]
 
 
 def test_schedule_defaults():
@@ -762,8 +782,8 @@ def test_enumerate_short_cap_at_every_position():
         walks.append((gram, radius_sq, (rows, 0.5, 4.0), 0))
     # and the orbit walk of d = 79 at half its first untwisted radius,
     # with a band wide enough to keep vectors that tau moves
-    order, B, hnf, U, base, _ = _untwisted(79, 7)
-    gram, rows, _ = _orbit_basis(order, hnf, U, base)
+    order, B, hnf, *_ = _untwisted(79, 7)
+    gram, rows = _orbit_basis(order, hnf)
     filt = (_band_rows(_embeddings(order), rows), B.norm, B.norm * 64.0)
     walks.append((gram, 2736, filt, 2))
     for gram, radius_sq, filt, pairs in walks:
