@@ -561,7 +561,7 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, printing each row (and appending each record) as
     soon as its field is done."""
-    LambdaSpec(p, n)  # validates p odd prime, n >= 1
+    LambdaSpec(p, n, phi_scale)  # validates p odd prime, n >= 1, phi_scale | p^n
     RadiusSchedule(c0=c0, max_doublings=max_doublings)  # validates c0 >= 1
     members = [
         d for d in range(max(2, dmin), dmax + 1)

@@ -124,12 +124,13 @@ def smith_normal_form(a: list[list[int]], ncols: int):
 
     Returns (divisors, V, Vinv) where divisors is the full diagonal
     d_1 | d_2 | ... | d_ncols (ones included, zeros impossible here
-    because callers always pass a full-rank relation lattice), and V,
+    because callers always pass a full-rank relation lattice; with
+    ncols = 0 the matrix and the diagonal are empty), and V,
     Vinv are the unimodular column transforms: A*V is diagonal in the
     new coordinates and Vinv undoes the coordinate change.
     """
-    if not a:
-        raise ValueError("empty relation matrix")
+    if len(a) < ncols:
+        raise ValueError("fewer relations than columns")
     w = _SmithWork(a, ncols)
     m = len(w.a)
     t = 0

@@ -9,7 +9,8 @@ Ideals are Z-modules scale * (Z a + Z (b + w)).  Internally we often
 work with the pair (a, B) where B = 2 b + s, because the reduction
 theory (the continued-fraction walk on reduced ideals) is cleanest in
 that coordinate: the ideal is [a, (B + sqrt(D))/2] and validity means
-B^2 = D (mod 4a).
+B^2 = D (mod 4a).  Two ideals multiply in closed form by Dirichlet
+composition of forms, _compose, with no lattice reduction.
 
 Everything is exact.  Class groups are found by a breadth-first closure
 over the classes of the factor-base primes below the Minkowski bound,
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from . import arith
 from .errors import ConsistencyError
-from .linalg import hnf_rows, smith_normal_form
+from .linalg import smith_normal_form
 
 DESK_DISC_BOUND = 4_000_000
 
@@ -112,8 +113,9 @@ class QuadIdeal:
     def __mul__(self, other: "QuadIdeal") -> "QuadIdeal":
         if self.field != other.field:
             raise ValueError("ideals of different fields")
-        (a3, b3), content = _mul_with_content(self.field, (self.a, self.b), (other.a, other.b))
-        return QuadIdeal(self.field, a3, b3, self.scale * other.scale * content)
+        (a3, B3), g = _compose(self.field, (self.a, self.bform), (other.a, other.bform))
+        b3 = _b_from_form(self.field, a3, B3)
+        return QuadIdeal(self.field, a3, b3, self.scale * other.scale * g)
 
     def __pow__(self, e: int) -> "QuadIdeal":
         if e < 0:
@@ -134,40 +136,36 @@ def _b_from_form(L: QuadraticField, a: int, bform: int) -> int:
     return ((bform - L.s) // 2) % a
 
 
-def _ideal_from_rows(L: QuadraticField, rows):
-    """Canonical (a, b) + content from Z-module generators in (1, w) coords."""
-    swapped = [[y, x] for x, y in rows]
-    h = hnf_rows(swapped)
-    if len(h) != 2 or h[0][0] == 0:
-        raise ValueError("generators do not span a rank-2 module")
-    content, bc = h[0]
-    aa = h[1][1]
-    if aa % content or bc % content:
-        raise ConsistencyError("module is not an ideal of the maximal order")
-    a = aa // content
-    b = (bc // content) % a
-    return (a, b), content
+def _xgcd(a: int, b: int):
+    """(g, x, y) with g = gcd(a, b) = x a + y b, for a > 0 and b >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
 
 
-def _mul_with_content(L: QuadraticField, ab1, ab2):
-    a1, b1 = ab1
-    a2, b2 = ab2
-    nw = (L.disc - L.s * L.s) // 4  # w^2 = s*w + nw
-    rows = [
-        [a1 * a2, 0],
-        [a1 * b2, a1],
-        [a2 * b1, a2],
-        [b1 * b2 + nw, b1 + b2 + L.s],
-    ]
-    return _ideal_from_rows(L, rows)
+def _compose(L: QuadraticField, f1, f2):
+    """Product of two primitive ideals f_i = [a_i, (B_i + sqrt(D))/2], B_i >= 0,
+    by Dirichlet composition of forms (Cohen, GTM 138, section 5.4).
 
-
-def _mul_raw(L: QuadraticField, f1, f2):
-    """Class-level product of two (a, bform) pairs; content is dropped."""
+    Returns ((a3, B3), g) with f1 f2 = g [a3, (B3 + sqrt(D))/2]:
+    g = gcd(a1, a2, (B1 + B2)/2) = u a1 + v a2 + w (B1 + B2)/2,
+    a3 = a1 a2 / g^2 and
+    B3 = (u a1 B2 + v a2 B1 + w (B1 B2 + D)/2) / g mod 2 a3.
+    """
     a1, B1 = f1
     a2, B2 = f2
-    (a3, b3), _ = _mul_with_content(L, (a1, _b_from_form(L, a1, B1)), (a2, _b_from_form(L, a2, B2)))
-    return (a3, 2 * b3 + L.s)
+    D = L.disc
+    g1, x, y = _xgcd(a1, a2)
+    g, z, w = _xgcd(g1, (B1 + B2) // 2)
+    u, v = z * x, z * y
+    a3 = a1 * a2 // (g * g)
+    B3 = (u * a1 * B2 + v * a2 * B1 + w * ((B1 * B2 + D) // 2)) // g % (2 * a3)
+    if (B3 * B3 - D) % (4 * a3):
+        raise ConsistencyError(f"{f1} * {f2} is not an ideal of the maximal order")
+    return (a3, B3), g
 
 
 def _is_reduced_raw(L: QuadraticField, f) -> bool:
@@ -445,7 +443,7 @@ def class_group(L: QuadraticField) -> ClassGroup:
         cid = queue.pop()
         vec = class_vecs[cid]
         for i, g in enumerate(fb):
-            red = _reduce_raw(L, _mul_raw(L, class_reps[cid], g))
+            red = _reduce_raw(L, _compose(L, class_reps[cid], g)[0])
             step = tuple(v + (1 if j == i else 0) for j, v in enumerate(vec))
             known = id_of.get(red)
             if known is None:
@@ -455,14 +453,6 @@ def class_group(L: QuadraticField) -> ClassGroup:
                 if any(rel):
                     relations.add(rel)
     h = len(class_vecs)
-
-    if k == 0:
-        cg = ClassGroup(L, 1, (), ())
-        cg._id_of = id_of
-        cg._class_coords = [()] * h
-        if h != 1:
-            raise ConsistencyError(f"{h} classes but no factor-base prime")
-        return cg
 
     rel_rows = sorted(relations)
     divisors_full, v_mat, v_inv = smith_normal_form(rel_rows, k)
@@ -486,7 +476,7 @@ def class_group(L: QuadraticField) -> ClassGroup:
                 continue
             base = fb[i] if e > 0 else _conj_raw(L, fb[i])
             for _ in range(abs(e)):
-                f = _reduce_raw(L, _mul_raw(L, f, base))
+                f = _reduce_raw(L, _compose(L, f, base)[0])
         a, bf = _reduce_raw(L, f)
         generators.append(QuadIdeal(L, a, _b_from_form(L, a, bf)))
 
@@ -507,7 +497,7 @@ def _verify_generator_orders(L: QuadraticField, cg: ClassGroup):
         base = (gen.a, gen.bform)
         acc = (1, L.s)
         for step in range(1, m + 1):
-            acc = _reduce_raw(L, _mul_raw(L, acc, base))
+            acc = _reduce_raw(L, _compose(L, acc, base)[0])
             principal = _cycle_contains_unit(L, acc)
             if step < m and principal and m % step == 0:
                 raise ConsistencyError(f"generator order {step}, declared {m}")

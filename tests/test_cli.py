@@ -297,6 +297,14 @@ def test_survey_rejects_bad_p(runner):
     assert result.exit_code == 2
 
 
+def test_survey_rejects_bad_phi_scale_before_any_field(runner):
+    # 2 does not divide 3^1: the run stops up front, as certify does,
+    # instead of listing each 3-divisible field as invalid
+    result = runner.invoke(main, ["survey", "--dmax", "260", "--p", "3", "--phi-scale", "2"])
+    assert result.exit_code == 2
+    assert result.output == "error: phi_scale must be a power of p dividing p^n\n"
+
+
 def test_survey_streams_each_record_as_its_field_finishes(runner, tmp_path, monkeypatch):
     # 79 and 142 are the 3-divisible fields in the range; the second one
     # trips a consistency failure, after the first record is written

@@ -21,6 +21,8 @@ import pytest
 from capitula import quadfield
 from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, iter_primes, kronecker
 from capitula.cyclotomic import make_subfield
+from capitula.errors import ConsistencyError
+from capitula.linalg import hnf_rows
 from capitula.quadfield import (
     DESK_DISC_BOUND,
     QuadIdeal,
@@ -143,6 +145,34 @@ def unit_is_proper_power(L, eps):
     return False
 
 
+def oracle_product(L, f1, f2):
+    """((a3, B3), content) of the product of the primitive ideals
+    f_i = [a_i, (B_i + sqrt(D))/2], read off the Hermite normal form of
+    the four products of their Z-generators a_i and b_i + w, in
+    (w, 1) coordinates (w^2 = s w - N(w))."""
+    (a1, B1), (a2, B2) = f1, f2
+    b1, b2 = (B1 - L.s) // 2, (B2 - L.s) // 2
+    rows = [
+        [0, a1 * a2],
+        [a1, a1 * b2],
+        [a2, a2 * b1],
+        [b1 + b2 + L.s, b1 * b2 - L.norm_omega()],
+    ]
+    (content, bc), (zero, aa) = hnf_rows(rows)
+    assert zero == 0 and aa % content == 0 and bc % content == 0
+    a3 = aa // content
+    return (a3, (2 * (bc // content) + L.s) % (2 * a3)), content
+
+
+def random_primitive_ideal(L, rng, amax):
+    """(a, B) of a random primitive ideal of norm a < amax."""
+    while True:
+        a = rng.randrange(1, amax)
+        forms = [B for B in range(L.s, 2 * a, 2) if (B * B - L.disc) % (4 * a) == 0]
+        if forms:
+            return a, rng.choice(forms)
+
+
 # frozen fundamental units x + y sqrt(d), from the Pell oracle where it
 # reaches and standard tables where it does not
 FROZEN_UNITS = {
@@ -251,13 +281,18 @@ def test_per_field_caches_are_bounded():
 def test_class_number_spot_values():
     assert class_group(make_field(79)).order == 3
     assert class_group(make_field(10)).order == 2
-    assert class_group(make_field(2)).order == 1
     assert class_group(make_field(142)).order == 3
     assert class_group(make_field(79)).elementary_divisors == (3,)
+    # no factor-base prime below sqrt(D)/2: an empty relation matrix
+    for d in (2, 3, 5, 13):
+        L = make_field(d)
+        cg = class_group(L)
+        assert (cg.order, cg.elementary_divisors, cg.generators) == (1, (), ()), d
+        assert cg.coords_of(QuadIdeal(L, 1, 0)) == (), d
 
 
 def test_class_group_structure_consistency():
-    for d in (79, 142, 223, 229, 235, 399, 485):
+    for d in (79, 142, 223, 229, 235, 399, 485, 32009):
         cg = class_group(make_field(d))
         assert cg.order == math.prod(cg.elementary_divisors or (1,))
         for i, (gen, m) in enumerate(zip(cg.generators, cg.elementary_divisors)):
@@ -265,6 +300,10 @@ def test_class_group_structure_consistency():
             expected = tuple(1 if j == i else 0 for j in range(len(cg.elementary_divisors)))
             assert coords == expected
             assert cg.order_of(coords) == m
+    # the smallest real quadratic field of 3-rank 2
+    cg = class_group(make_field(32009))
+    assert cg.elementary_divisors == (3, 3)
+    assert cg.order == oracle_class_number(32009) == 9
 
 
 def test_p_sylow_data():
@@ -325,6 +364,55 @@ def test_ideal_norm_multiplicative():
     for I in split:
         for J in split:
             assert (I * J).norm() == I.norm() * J.norm()
+
+
+def test_compose_matches_hnf_product():
+    # all pairs, squares f * f included, from a pool per random field;
+    # half the pool has small norms, so norms often share a factor
+    rng = random.Random(20261019)
+    shared = contents = 0
+    for _ in range(200):
+        d = rng.randrange(2, 200_000)
+        if not is_squarefree(d):
+            continue
+        L = make_field(d)
+        pool = [random_primitive_ideal(L, rng, amax) for amax in (30, 30, 30, 400, 400, 400)]
+        pool.append((pool[0][0], -pool[0][1] % (2 * pool[0][0])))  # a conjugate
+        for f1 in pool:
+            for f2 in pool:
+                got = quadfield._compose(L, f1, f2)
+                assert got == oracle_product(L, f1, f2), (d, f1, f2)
+                shared += math.gcd(f1[0], f2[0]) > 1
+                contents += got[1] > 1
+    assert shared > 500 and contents > 500, (shared, contents)
+    # fractional ideals: the product carries scale * scale * content
+    L = make_field(79)
+    for I, J in (
+        (QuadIdeal(L, 3, 1, Fraction(2, 3)), QuadIdeal(L, 3, 1, Fraction(5, 7))),
+        (QuadIdeal(L, 3, 1, Fraction(1, 4)), QuadIdeal(L, 3, 2, Fraction(9))),
+        (QuadIdeal(L, 21, 10, Fraction(3, 5)), QuadIdeal(L, 7, 4, Fraction(1, 2))),
+    ):
+        (a3, B3), content = oracle_product(L, (I.a, I.bform), (J.a, J.bform))
+        K = I * J
+        assert (K.a, K.bform, K.scale) == (a3, B3, I.scale * J.scale * content)
+        assert K.norm() == I.norm() * J.norm()
+
+
+def test_compose_raises_on_wrong_bezout_coefficients(monkeypatch):
+    # perturbed Bezout coefficients give a B3 with B3^2 != D mod 4 a3:
+    # the closed-form product must refuse it, not return a non-ideal
+    real = quadfield._xgcd
+
+    def off_by_one(a, b):
+        g, x, y = real(a, b)
+        return g, x + 1, y
+
+    L = make_field(79)
+    I, J = prime_ideal_above(L, 5), prime_ideal_above(L, 7)
+    assert (I * J).norm() == 35
+    monkeypatch.setattr(quadfield, "_xgcd", off_by_one)
+    with pytest.raises(ConsistencyError, match="not an ideal of the maximal order"):
+        I * J
 
 
 def test_ideal_power_consistency():
