@@ -238,7 +238,6 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         "disc": sub_report.disc,
         "poly_disc": sub_report.poly_disc,
         "index": sub_report.index,
-        "real_roots": sub_report.real_roots,
         "irreducible_mod": sub_report.irreducible_mod,
     }
 

@@ -21,8 +21,10 @@ real) with determinant q^(e-1) (so the periods really are an integral
 basis and q is the only ramified prime), the stored polynomial must
 vanish at eta_0 when evaluated on its powers, the index of Z[eta_0] is
 the determinant of those powers and must be nonzero, and
-irreducibility is witnessed by a prime t with the polynomial
-irreducible mod t.
+irreducibility is witnessed by a prime t at which the Frobenius
+x -> x^t of O_F/t, a circulant matrix on the periods, shows that
+O_F/t is a field generated by eta_0; then the polynomial is
+irreducible mod t.  No polynomial is ever reduced mod t.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import arith
 from .errors import ConsistencyError
@@ -255,7 +258,6 @@ class SubfieldReport:
     disc: int
     poly_disc: int
     index: int
-    real_roots: int
     irreducible_mod: int | None
 
 
@@ -276,9 +278,11 @@ def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
     general (q = 31 has index 2: the field is not monogenic, so no
     defining cubic there has discriminant 31^2), and the polynomial
     discriminant is index^2 q^(e-1).  The polynomial must be
-    irreducible, witnessed by a prime t at which it is irreducible
-    mod t.  Any failure raises ConsistencyError; there is no partial
-    credit.
+    irreducible, witnessed by a prime t at which the Frobenius x -> x^t
+    of the period basis makes O_F/t a field of degree e generated by
+    eta_0 (see _irreducible_witness); that holds exactly when the
+    polynomial is irreducible mod t.  Any failure raises
+    ConsistencyError; there is no partial credit.
     """
     q, e = sub.q, sub.e
     poly = list(sub.period_poly)
@@ -310,7 +314,7 @@ def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
 
     witness = None
     if e > 1:
-        witness = _irreducible_witness(poly)
+        witness = _irreducible_witness(sub)
 
     return SubfieldReport(
         q=q,
@@ -318,109 +322,51 @@ def verify_subfield(sub: CyclotomicSubfield) -> SubfieldReport:
         disc=disc,
         poly_disc=index * index * disc,
         index=index,
-        # f is the characteristic polynomial of a generator of a totally
-        # real field, so all its roots are real
-        real_roots=e,
         irreducible_mod=witness,
     )
 
 
-def _irreducible_witness(poly) -> int:
-    """Smallest prime t with poly irreducible mod t.
+def _irreducible_witness(sub: CyclotomicSubfield) -> int:
+    """Smallest prime t at which the period polynomial f stays
+    irreducible, found in O_F/t by the Frobenius phi(x) = x^t of the
+    period basis, with no polynomial arithmetic mod t.
 
-    The Galois group of the splitting field is cyclic, so primes whose
+    _mul_coords depends on index differences only, so the cyclic shift
+    eta_k -> eta_(k+1) is a ring automorphism; it commutes with phi, so
+    phi(eta_i) is phi(eta_0) shifted by i, and the F_t-linear phi is a
+    circulant matrix built from one power eta_0^t.  t is the witness
+    iff phi^e(eta_0) = eta_0 and, for every prime l | e, t does not
+    divide N(phi^(e/l)(eta_0) - eta_0), the determinant of its
+    multiplication matrix.
+
+    Proof: phi^e(eta_0) = eta_0 makes F_t[eta_0] reduced, with factors
+    of degree dividing e; the units rule out every degree dividing e/l,
+    so F_t[eta_0] is a field of degree e, hence all of O_F/t.  Then
+    F_t[x]/(f mod t) maps onto it, so is isomorphic to it: f is
+    irreducible mod t (and t does not divide the index).  Conversely,
+    if f is irreducible mod t, O_F/t is the field F_t[eta_0] with t^e
+    elements and both tests pass.  So t = q and the split t are
+    rejected.  The Galois group is cyclic, so the primes whose
     Frobenius generates it have positive density and the scan ends
-    quickly.  Degrees here are tiny prime powers, so the test checks
-    x^(t^e) = x and gcd(x^(t^(e/l)) - x, poly) = 1 for the prime l
-    dividing e.
+    quickly.
     """
-    e = len(poly) - 1
+    e = sub.e
     prime_divs = sorted(arith.factorize(e))
+    basis = [[int(k == j) for k in range(e)] for j in range(e)]
+    eta0 = basis[0]
     for t in arith.iter_primes(20_000):
-        if _irreducible_mod(poly, e, prime_divs, t):
+        frob = eta0  # eta_0^t mod t by square-and-multiply
+        for bit in bin(t)[3:]:
+            frob = [c % t for c in sub.mul_coords(frob, frob)]
+            if bit == "1":
+                frob = [c % t for c in sub.mul_coords(frob, eta0)]
+        phi = [[frob[(m - i) % e] for i in range(e)] for m in range(e)]
+        orbit = [eta0]  # orbit[k] = phi^k(eta_0)
+        for _ in range(e):
+            orbit.append([sum(map(mul, row, orbit[-1])) % t for row in phi])
+        if orbit[e] != eta0:
+            continue
+        gaps = ([a - b for a, b in zip(orbit[e // l], eta0)] for l in prime_divs)
+        if all(det_bareiss([sub.mul_coords(g, b) for b in basis]) % t for g in gaps):
             return t
     raise ConsistencyError("no irreducibility witness below 20000")
-
-
-def _irreducible_mod(poly, e, prime_divs, t):
-    fbar = [c % t for c in poly]
-    x = [0, 1]
-    # frob[k] = x^(t^k) mod (fbar, t)
-    frob = [x]
-    cur = x
-    for _ in range(e):
-        cur = _ppow_mod(cur, t, fbar, t)
-        frob.append(cur)
-    if _ptrim(_psub(frob[e], x, t)) != []:
-        return False
-    for l in prime_divs:
-        gap = _psub(frob[e // l], x, t)
-        if len(_pgcd(fbar, gap, t)) - 1 > 0:
-            return False
-    return True
-
-
-# dense polynomial helpers over GF(t), ascending coefficients
-
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _psub(a, b, t):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % t
-    return _ptrim(out)
-
-
-def _pmul_mod(a, b, fbar, t):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % t
-    # reduce by the monic fbar
-    d = len(fbar) - 1
-    for k in range(len(out) - 1, d - 1, -1):
-        c = out[k]
-        if c:
-            out[k] = 0
-            for i in range(d):
-                out[k - d + i] = (out[k - d + i] - c * fbar[i]) % t
-    return _ptrim(out[:d])
-
-
-def _ppow_mod(a, k, fbar, t):
-    result = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            result = _pmul_mod(result, base, fbar, t)
-        base = _pmul_mod(base, base, fbar, t)
-        k >>= 1
-    return result
-
-
-def _pgcd(a, b, t):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv = pow(b[-1], -1, t)
-        b_monic = [c * inv % t for c in b]
-        r = list(a)
-        while len(r) >= len(b_monic) and _ptrim(r):
-            shift = len(r) - len(b_monic)
-            c = r[-1]
-            for i, bc in enumerate(b_monic):
-                r[shift + i] = (r[shift + i] - c * bc) % t
-            r = _ptrim(r)
-        a, b = b, r
-    return a

@@ -154,6 +154,9 @@ def _compose(L: QuadraticField, f1, f2):
     g = gcd(a1, a2, (B1 + B2)/2) = u a1 + v a2 + w (B1 + B2)/2,
     a3 = a1 a2 / g^2 and
     B3 = (u a1 B2 + v a2 B1 + w (B1 B2 + D)/2) / g mod 2 a3.
+    B3^2 = D mod 4 a3 makes the result an ideal of norm a3; B3 = B_i
+    mod 2 a_i / g makes it the product of f1 and f2, not another ideal
+    of that norm.
     """
     a1, B1 = f1
     a2, B2 = f2
@@ -165,6 +168,8 @@ def _compose(L: QuadraticField, f1, f2):
     B3 = (u * a1 * B2 + v * a2 * B1 + w * ((B1 * B2 + D) // 2)) // g % (2 * a3)
     if (B3 * B3 - D) % (4 * a3):
         raise ConsistencyError(f"{f1} * {f2} is not an ideal of the maximal order")
+    if (B3 - B1) % (2 * a1 // g) or (B3 - B2) % (2 * a2 // g):
+        raise ConsistencyError(f"{f1} * {f2} gave {(a3, B3)}, not their product")
     return (a3, B3), g
 
 

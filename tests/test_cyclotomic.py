@@ -5,7 +5,9 @@ identities.  The oracle here works in the group ring instead: periods
 are dense integer vectors in Z[x]/(x^q - 1), the elementary symmetric
 functions are expanded by exact convolution, and each one must collapse
 to a rational integer.  Agreement between the two routes pins down the
-polynomial itself, not just its printed form.
+polynomial itself, not just its printed form.  The irreducibility
+witness, found by the Frobenius of the period basis, is checked against
+a Rabin test on the polynomial over GF(t).
 """
 
 import dataclasses
@@ -15,12 +17,14 @@ import tracemalloc
 import mpmath
 import pytest
 
+from capitula import arith
 from capitula.arith import is_prime, iter_primes
 from capitula.cyclotomic import (
     ConsistencyError,
     CyclotomicSubfield,
     _build_subfield,
     _cosets,
+    _irreducible_witness,
     make_subfield,
     period_cosets,
     poly_str,
@@ -116,6 +120,84 @@ def resultant(p, q_poly):
     return det_bareiss(rows)
 
 
+def oracle_irreducible_mod(poly, t):
+    """Rabin's test on the monic poly (ascending coefficients) over
+    GF(t): x^(t^e) = x mod poly, and gcd(x^(t^(e/l)) - x, poly) = 1 for
+    every prime l | e.  The oracle for the Frobenius witness, which
+    never reduces a polynomial."""
+    e = len(poly) - 1
+    fbar = [c % t for c in poly]
+    x = [0, 1]
+    frob = [x]  # frob[k] = x^(t^k) mod (fbar, t)
+    for _ in range(e):
+        frob.append(_ppow_mod(frob[-1], t, fbar, t))
+    if _psub(frob[e], x, t):
+        return False
+    return all(
+        len(_pgcd(fbar, _psub(frob[e // l], x, t), t)) == 1 for l in set_prime_divisors(e)
+    )
+
+
+# dense polynomial helpers over GF(t), ascending coefficients
+
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _psub(a, b, t):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % t
+    return _ptrim(out)
+
+
+def _pmul_mod(a, b, fbar, t):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % t
+    d = len(fbar) - 1  # reduce by the monic fbar
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = 0
+            for i in range(d):
+                out[k - d + i] = (out[k - d + i] - c * fbar[i]) % t
+    return _ptrim(out[:d])
+
+
+def _ppow_mod(a, k, fbar, t):
+    result, base = [1], list(a)
+    while k:
+        if k & 1:
+            result = _pmul_mod(result, base, fbar, t)
+        base = _pmul_mod(base, base, fbar, t)
+        k >>= 1
+    return result
+
+
+def _pgcd(a, b, t):
+    a, b = _ptrim(list(a)), _ptrim(list(b))
+    while b:
+        inv = pow(b[-1], -1, t)
+        b_monic = [c * inv % t for c in b]
+        r = list(a)
+        while len(r) >= len(b_monic) and _ptrim(r):
+            shift, c = len(r) - len(b_monic), r[-1]
+            for i, bc in enumerate(b_monic):
+                r[shift + i] = (r[shift + i] - c * bc) % t
+            r = _ptrim(r)
+        a, b = b, r
+    return a
+
+
 def set_prime_divisors(n):
     out = set()
     m = n
@@ -196,7 +278,6 @@ def test_verify_all_cubic_subfields_up_to_200():
         sub = make_subfield(q, 3)
         report = verify_subfield(sub)
         assert report.disc == q * q
-        assert report.real_roots == 3
         assert report.poly_disc == poly_discriminant(sub.period_poly)
         assert report.poly_disc == report.index**2 * q * q
         assert report.irreducible_mod is not None
@@ -204,17 +285,50 @@ def test_verify_all_cubic_subfields_up_to_200():
 
 
 def test_known_index_values():
-    # monogenic at 7 and 13, but not at 31
+    # monogenic at 7 and 13, but not at 31; the witness at 31 is 3,
+    # since 2 splits there (2^10 = 1 mod 31)
     assert verify_subfield(make_subfield(7, 3)).index == 1
     assert verify_subfield(make_subfield(13, 3)).index == 1
     assert verify_subfield(make_subfield(31, 3)).index == 2
+    for (q, e), witness in [((7, 3), 2), ((31, 3), 3), ((271, 27), 2)]:
+        assert verify_subfield(make_subfield(q, e)).irreducible_mod == witness, (q, e)
+
+
+def test_frobenius_witness_matches_gf_t_oracle(monkeypatch):
+    # the library scans iter_primes; restricted to one prime t, it
+    # returns t exactly when the GF(t) oracle finds the polynomial
+    # irreducible mod t, and raises otherwise
+    verdicts = []
+    for q in iter_primes(200):
+        for e in (3, 5, 9, 15, 27):
+            if (q - 1) % e:
+                continue
+            sub = make_subfield(q, e)
+            for t in iter_primes(100 if e <= 9 else 30):
+                monkeypatch.setattr(arith, "iter_primes", lambda bound, t=t: iter([t]))
+                try:
+                    got = _irreducible_witness(sub) == t
+                except ConsistencyError:
+                    got = False
+                monkeypatch.undo()
+                assert got == oracle_irreducible_mod(sub.period_poly, t), (q, e, t)
+                verdicts.append(got)
+    assert (len(verdicts), verdicts.count(False)) == (1035, 293)
+
+
+def test_witness_can_fail(monkeypatch):
+    # 13, 29, 41 and 43 are +-1 mod 7, so they split in the cubic field
+    # of conductor 7: none of them witnesses irreducibility
+    sub = make_subfield(7, 3)
+    monkeypatch.setattr(arith, "iter_primes", lambda bound: iter([13, 29, 41, 43]))
+    with pytest.raises(ConsistencyError, match="no irreducibility witness"):
+        verify_subfield(sub)
 
 
 def test_verify_degree_nine():
     sub = make_subfield(19, 9)
     report = verify_subfield(sub)
     assert report.disc == 19**8
-    assert report.real_roots == 9
     assert report.poly_disc == poly_discriminant(sub.period_poly)
 
 

@@ -415,6 +415,26 @@ def test_compose_raises_on_wrong_bezout_coefficients(monkeypatch):
         I * J
 
 
+def test_compose_raises_on_a_wrong_product_of_the_right_norm(monkeypatch):
+    # with the same perturbation, q3 * q7 and q3 * q7' come out as
+    # B3 = 34 and 22: ideals of norm 21 (B3^2 = D mod 84), but not the
+    # products (B3 = 20 and 8), which B3 = B_i mod 2 a_i / g tells apart
+    real = quadfield._xgcd
+
+    def off_by_one(a, b):
+        g, x, y = real(a, b)
+        return g, x + 1, y
+
+    L = make_field(79)
+    I, J = prime_ideal_above(L, 3), prime_ideal_above(L, 7)
+    assert [(I * K).bform for K in (J, J.conjugate())] == [20, 8]
+    assert all((B3 * B3 - L.disc) % 84 == 0 for B3 in (34, 22))
+    monkeypatch.setattr(quadfield, "_xgcd", off_by_one)
+    for K in (J, J.conjugate()):
+        with pytest.raises(ConsistencyError, match="not their product"):
+            I * K
+
+
 def test_ideal_power_consistency():
     L = make_field(142)
     frak = prime_ideal_above(L, 7)
