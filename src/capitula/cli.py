@@ -46,7 +46,7 @@ from .compositum import (
 )
 from .cyclotomic import make_subfield, poly_str, verify_subfield
 from .errors import ConsistencyError
-from .quadfield import class_group, is_principal, make_field, prime_ideal_above
+from .quadfield import class_group, desk_disc, is_principal, make_field, prime_ideal_above
 
 # Ceilings of re-verification.  A record above them is refused before
 # anything is built, which bounds the cost of reverify_record on any
@@ -559,13 +559,15 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, printing each row (and appending each record) as
-    soon as its field is done."""
+    soon as its field is done.  A d past the desk bound, squarefree or
+    not, is invalid input."""
     LambdaSpec(p, n, phi_scale)  # validates p odd prime, n >= 1, phi_scale | p^n
     RadiusSchedule(c0=c0, max_doublings=max_doublings)  # validates c0 >= 1
-    members = [
-        d for d in range(max(2, dmin), dmax + 1)
-        if is_squarefree(d) and class_group(make_field(d)).order % p == 0
-    ]
+    members = []
+    for d in range(max(2, dmin), dmax + 1):
+        desk_disc(d)  # a d past the desk bound is refused before it is factored
+        if is_squarefree(d) and class_group(make_field(d)).order % p == 0:
+            members.append(d)
 
     work = [(d, p, n, qbound, phi_scale, c0, max_doublings) for d in members]
     pool = futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(work) > 1 else None

@@ -1,6 +1,9 @@
 """Small exact integer linear algebra: HNF, SNF, determinants,
 integral Gram-Schmidt and LLL.
 
+The Smith form runs on A stacked over the identity, so its column
+transform V is read off the bottom rows and no inverse is kept.
+
 All matrices are lists of row lists.  Dimensions here are tiny (a few
 dozen at most), so the implementations favour clarity over asymptotics;
 everything is exact integer arithmetic, never floats.  Gram-Schmidt
@@ -76,114 +79,83 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-class _SmithWork:
-    """State for the Smith reduction: matrix plus column transforms.
-
-    Row operations touch only the matrix.  Column operations are mirrored
-    on V (accumulating A_original * V) and on Vinv (accumulating the
-    inverse), so that A_original restricted to the new coordinates is the
-    diagonal we end with.
-    """
-
-    def __init__(self, a: list[list[int]], k: int):
-        self.a = [list(r) for r in a]
-        self.v = [[int(i == j) for j in range(k)] for i in range(k)]
-        self.vinv = [[int(i == j) for j in range(k)] for i in range(k)]
-
-    def swap_rows(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-
-    def swap_cols(self, i, j):
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
-
-    def addmul_row(self, dst, src, c):
-        self.a[dst] = [x + c * y for x, y in zip(self.a[dst], self.a[src])]
-
-    def addmul_col(self, dst, src, c):
-        for r in self.a:
-            r[dst] += c * r[src]
-        for r in self.v:
-            r[dst] += c * r[src]
-        # (E^-1 applied on the left): row src of Vinv loses c * row dst
-        self.vinv[src] = [x - c * y for x, y in zip(self.vinv[src], self.vinv[dst])]
-
-    def negate_col(self, i):
-        for r in self.a:
-            r[i] = -r[i]
-        for r in self.v:
-            r[i] = -r[i]
-        self.vinv[i] = [-x for x in self.vinv[i]]
-
-
 def smith_normal_form(a: list[list[int]], ncols: int):
-    """Smith normal form with column transforms.
+    """Smith normal form with its column transform (Cohen, Alg. 2.4.14).
 
-    Returns (divisors, V, Vinv) where divisors is the full diagonal
+    Returns (divisors, V) where divisors is the full diagonal
     d_1 | d_2 | ... | d_ncols (ones included, zeros impossible here
     because callers always pass a full-rank relation lattice; with
-    ncols = 0 the matrix and the diagonal are empty), and V,
-    Vinv are the unimodular column transforms: A*V is diagonal in the
-    new coordinates and Vinv undoes the coordinate change.
+    ncols = 0 the matrix and the diagonal are empty), and V is the
+    unimodular column transform: the row lattice of A*V is that of
+    diag(divisors).  The reduction runs on A stacked over the
+    ncols x ncols identity.  Column operations act on every row, so the
+    bottom ncols rows end as V; row operations touch only the top m
+    rows, the relations.
     """
-    if len(a) < ncols:
+    m = len(a)
+    if m < ncols:
         raise ValueError("fewer relations than columns")
-    w = _SmithWork(a, ncols)
-    m = len(w.a)
+    w = [list(r) for r in a] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def addmul_row(dst, src, c):
+        w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
+
+    def swap_cols(i, j):
+        for r in w:
+            r[i], r[j] = r[j], r[i]
+
     t = 0
     while t < min(m, ncols):
         # locate the smallest nonzero entry in the trailing block
         best = None
         for i in range(t, m):
             for j in range(t, ncols):
-                if w.a[i][j] and (best is None or abs(w.a[i][j]) < best[0]):
-                    best = (abs(w.a[i][j]), i, j)
+                if w[i][j] and (best is None or abs(w[i][j]) < best[0]):
+                    best = (abs(w[i][j]), i, j)
         if best is None:
             raise ValueError("relation lattice is not full rank")
         _, bi, bj = best
-        w.swap_rows(t, bi)
+        w[t], w[bi] = w[bi], w[t]
         if bj != t:
-            w.swap_cols(t, bj)
+            swap_cols(t, bj)
         # clear row and column t; restart whenever a remainder shrinks the pivot
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
-                if w.a[i][t]:
-                    q = w.a[i][t] // w.a[t][t]
-                    w.addmul_row(i, t, -q)
-                    if w.a[i][t]:
-                        w.swap_rows(t, i)
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    addmul_row(i, t, -q)
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
                         dirty = True
             for j in range(t + 1, ncols):
-                if w.a[t][j]:
-                    q = w.a[t][j] // w.a[t][t]
-                    w.addmul_col(j, t, -q)
-                    if w.a[t][j]:
-                        w.swap_cols(t, j)
+                if w[t][j]:
+                    q = w[t][j] // w[t][t]
+                    for r in w:
+                        r[j] -= q * r[t]
+                    if w[t][j]:
+                        swap_cols(t, j)
                         dirty = True
         # divisibility: pivot must divide the whole trailing block
-        piv = w.a[t][t]
+        piv = w[t][t]
         offender = None
         for i in range(t + 1, m):
             for j in range(t + 1, ncols):
-                if w.a[i][j] % piv:
+                if w[i][j] % piv:
                     offender = (i, j)
                     break
             if offender:
                 break
         if offender:
-            w.addmul_row(t, offender[0], 1)
+            addmul_row(t, offender[0], 1)
             continue
         if piv < 0:
-            w.negate_col(t)
+            for r in w:
+                r[t] = -r[t]
         t += 1
-    divisors = [w.a[i][i] for i in range(ncols)]
     # rows below ncols must have been annihilated for a full-rank lattice
-    return divisors, w.v, w.vinv
+    return [w[i][i] for i in range(ncols)], w[m:]
 
 
 def gram_schmidt_int(gram: list[list[int]]):

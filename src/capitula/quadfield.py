@@ -12,10 +12,12 @@ that coordinate: the ideal is [a, (B + sqrt(D))/2] and validity means
 B^2 = D (mod 4a).  Two ideals multiply in closed form by Dirichlet
 composition of forms, _compose, with no lattice reduction.
 
-Everything is exact.  Class groups are found by a breadth-first closure
-over the classes of the factor-base primes below the Minkowski bound,
-with equivalence decided by reduction cycles, and the relation lattice
-is put in Smith normal form.  No analytic input, no GRH.  One walk,
+Everything is exact.  Class groups are found by a closure over the
+classes of the factor-base primes below the Minkowski bound, with
+equivalence decided by reduction cycles, and the relation lattice is
+put in Smith normal form.  Its transform V gives every class its
+coordinates, and the generators are the closure's own representatives
+of the unit-vector classes.  No analytic input, no GRH.  One walk,
 _walk, carries the principal multiplier along the reduction steps in
 integral w-coordinates; is_principal reads a generator off it and
 fundamental_unit reads the unit off the cycle of the unit ideal.
@@ -59,15 +61,23 @@ class QuadraticField:
         return x * x + self.s * x * y + y * y * self.norm_omega()
 
 
-def make_field(d: int) -> QuadraticField:
-    """Build Q(sqrt(d)).  d must be a squarefree integer >= 2 whose
-    discriminant is at most DESK_DISC_BOUND; the bound is checked
-    before d is factored, so a huge d is refused at once."""
+def desk_disc(d: int) -> int:
+    """The discriminant of Q(sqrt(d)) for an integer d >= 2 whose
+    discriminant is at most DESK_DISC_BOUND; ValueError otherwise.
+    d is not factored, so a huge d is refused at once."""
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"need an integer d >= 2, got {d!r}")
     disc = d if d % 4 == 1 else 4 * d
     if disc > DESK_DISC_BOUND:
         raise ValueError(f"disc {disc} is above the desk bound {DESK_DISC_BOUND}")
+    return disc
+
+
+def make_field(d: int) -> QuadraticField:
+    """Build Q(sqrt(d)).  d must be a squarefree integer >= 2 whose
+    discriminant is at most DESK_DISC_BOUND; the bound is checked by
+    desk_disc before d is factored."""
+    disc = desk_disc(d)
     if not arith.is_squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
     return QuadraticField(d=d, disc=disc)
@@ -377,8 +387,8 @@ class ClassGroup:
     order: int
     elementary_divisors: tuple[int, ...]
     generators: tuple[QuadIdeal, ...]
-    _id_of: dict = field(repr=False, default_factory=dict)
-    _class_coords: list = field(repr=False, default_factory=list)
+    _id_of: dict = field(repr=False)
+    _class_coords: list = field(repr=False)
 
     def coords_of(self, ideal: QuadIdeal) -> tuple[int, ...]:
         if ideal.field != self.field:
@@ -417,11 +427,15 @@ def class_group(L: QuadraticField) -> ClassGroup:
     """Class group by factor-base closure plus Smith normal form.
 
     Prime ideals with norm up to the Minkowski bound sqrt(D)/2 generate
-    the group; a breadth-first walk over their products, with reduction
-    cycles as the equality test, enumerates every class and yields a
-    generating set of relations.  The Smith form of those relations
-    gives the invariant factors, coordinates for every class, and
-    generator ideals whose orders are verified by explicit powering.
+    the group; a closure over their products, with reduction cycles as
+    the equality test, enumerates every class, each with a reduced
+    representative and an exponent vector over the factor base, and
+    yields a generating set of relations.  The Smith form of those
+    relations gives the invariant factors d_j and the transform V; a
+    class has coordinates vec V mod d_j.  No two classes may share
+    their coordinates.  Generator j is the representative the closure
+    registered for the class whose coordinates are the j-th unit
+    vector, and its order is verified by explicit powering.
     """
     D = L.disc
     fb_primes = [p for p in arith.iter_primes(math.isqrt(D) // 2) if arith.kronecker(D, p) != -1]
@@ -459,42 +473,27 @@ def class_group(L: QuadraticField) -> ClassGroup:
                     relations.add(rel)
     h = len(class_vecs)
 
-    rel_rows = sorted(relations)
-    divisors_full, v_mat, v_inv = smith_normal_form(rel_rows, k)
+    divisors_full, v_mat = smith_normal_form(sorted(relations), k)
     if math.prod(divisors_full) != h:
         raise ConsistencyError("relation lattice disagrees with class count")
 
     keep = [j for j, m in enumerate(divisors_full) if m > 1]
     divisors = tuple(divisors_full[j] for j in keep)
-
-    def to_coords(vec):
-        full = [sum(vec[i] * v_mat[i][j] for i in range(k)) % divisors_full[j] for j in range(k)]
-        return tuple(full[j] for j in keep)
-
-    coords = [to_coords(vec) for vec in class_vecs]
-
+    coords = [
+        tuple(sum(vec[i] * v_mat[i][j] for i in range(k)) % divisors_full[j] for j in keep)
+        for vec in class_vecs
+    ]
+    cid_of = {c: cid for cid, c in enumerate(coords)}
+    if len(cid_of) != h:
+        raise ConsistencyError("two classes share their coordinates")
     generators = []
-    for j in keep:
-        f = (1, L.s)
-        for i, e in enumerate(v_inv[j]):
-            if e == 0:
-                continue
-            base = fb[i] if e > 0 else _conj_raw(L, fb[i])
-            for _ in range(abs(e)):
-                f = _reduce_raw(L, _compose(L, f, base)[0])
-        a, bf = _reduce_raw(L, f)
+    for j in range(len(keep)):
+        a, bf = class_reps[cid_of[tuple(int(i == j) for i in range(len(keep)))]]
         generators.append(QuadIdeal(L, a, _b_from_form(L, a, bf)))
 
-    cg = ClassGroup(L, h, divisors, tuple(generators))
-    cg._id_of = id_of
-    cg._class_coords = coords
+    cg = ClassGroup(L, h, divisors, tuple(generators), id_of, coords)
     _verify_generator_orders(L, cg)
     return cg
-
-
-def _conj_raw(L: QuadraticField, f):
-    a, B = f
-    return (a, (-B) % (2 * a))
 
 
 def _verify_generator_orders(L: QuadraticField, cg: ClassGroup):

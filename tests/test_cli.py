@@ -592,12 +592,26 @@ def test_invalid_input_exits_2(runner, args):
     assert result.output.startswith("error: ")
 
 
+def test_survey_refuses_a_huge_d_before_factoring_it(runner, monkeypatch):
+    # 10000000000000000051 * 10000000000000000087: factoring it would
+    # run Pollard rho for minutes
+    big = 100000000000000001380000000000000004437
+
+    def no_factoring(n):
+        raise AssertionError("survey factored a d past the desk bound")
+
+    monkeypatch.setattr(cli, "is_squarefree", no_factoring)
+    result = runner.invoke(main, ["survey", "--dmin", str(big), "--dmax", str(big), "--p", "3"])
+    assert result.exit_code == 2
+    assert result.output == f"error: disc {big} is above the desk bound {quadfield.DESK_DISC_BOUND}\n"
+
+
 def test_tripped_class_group_cross_check_exits_3(runner, monkeypatch):
     real = quadfield.smith_normal_form
 
     def wrong_divisors(rows, k):
-        divisors, v_mat, v_inv = real(rows, k)
-        return [1] * len(divisors), v_mat, v_inv
+        divisors, v_mat = real(rows, k)
+        return [1] * len(divisors), v_mat
 
     monkeypatch.setattr(quadfield, "smith_normal_form", wrong_divisors)
     quadfield.class_group.cache_clear()

@@ -22,7 +22,7 @@ from capitula import quadfield
 from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, iter_primes, kronecker
 from capitula.cyclotomic import make_subfield
 from capitula.errors import ConsistencyError
-from capitula.linalg import hnf_rows
+from capitula.linalg import det_bareiss, hnf_rows, smith_normal_form
 from capitula.quadfield import (
     DESK_DISC_BOUND,
     QuadIdeal,
@@ -304,6 +304,71 @@ def test_class_group_structure_consistency():
     cg = class_group(make_field(32009))
     assert cg.elementary_divisors == (3, 3)
     assert cg.order == oracle_class_number(32009) == 9
+
+
+# coords_of(prime above q) for every split q < 60, frozen: a change of
+# the Smith transform V changes these, and they reach the records as
+# class_coords and matched_inverse
+SPLIT_PRIME_COORDS = {
+    79: {3: (2,), 5: (1,), 7: (1,), 13: (1,), 43: (0,), 47: (1,), 59: (1,)},
+    142: {3: (2,), 7: (1,), 13: (1,), 19: (2,), 23: (2,), 31: (1,), 43: (2,), 47: (1,), 53: (0,)},
+    223: {3: (2,), 11: (1,), 17: (1,), 23: (2,), 29: (1,), 37: (1,), 41: (1,), 53: (2,), 59: (2,)},
+    229: {3: (1,), 5: (1,), 11: (1,), 17: (1,), 19: (2,), 37: (0,), 43: (2,), 53: (0,)},
+    235: {3: (1,), 7: (5,), 11: (2,), 13: (1,), 19: (2,), 31: (2,)},
+    399: {5: (0, 3), 11: (1, 1), 13: (1, 3), 17: (0, 1), 23: (1, 3), 29: (1, 0), 53: (1, 0), 59: (0, 2)},
+    485: {7: (1,), 11: (0,), 13: (1,), 17: (1,), 23: (1,), 31: (0,), 37: (1,)},
+    32009: {2: (2, 2), 5: (1, 2), 13: (1, 2), 17: (0, 2), 23: (0, 1), 29: (1, 1), 37: (0, 2), 43: (0, 1), 47: (1, 1)},
+}
+
+
+def test_split_prime_coords_are_pinned():
+    for d, expected in SPLIT_PRIME_COORDS.items():
+        L = make_field(d)
+        cg = class_group(L)
+        split = [q for q in iter_primes(59) if L.disc % q and kronecker(L.disc, q) == 1]
+        assert {q: cg.coords_of(prime_ideal_above(L, q)) for q in split} == expected, d
+
+
+def _assert_smith_laws(a, k):
+    divisors, v = smith_normal_form(a, k)
+    assert len(divisors) == k and all(m > 0 for m in divisors)
+    assert all(divisors[i + 1] % divisors[i] == 0 for i in range(k - 1))
+    assert len(v) == k and abs(det_bareiss(v)) == 1
+    av = [[sum(row[i] * v[i][j] for i in range(k)) for j in range(k)] for row in a]
+    diag = [[m if i == j else 0 for j in range(k)] for i, m in enumerate(divisors)]
+    assert hnf_rows(av) == hnf_rows(diag)
+
+
+def test_smith_normal_form_laws(monkeypatch):
+    _assert_smith_laws([], 0)
+    # the relation matrices class_group builds, among them that of the
+    # smallest real quadratic field of 3-rank 2
+    seen = []
+
+    def record(rows, k):
+        seen.append((rows, k))
+        return smith_normal_form(rows, k)
+
+    monkeypatch.setattr(quadfield, "smith_normal_form", record)
+    class_group.cache_clear()
+    for d in (79, 235, 399, 32009):
+        class_group(make_field(d))
+    assert len(seen) == 4 and seen[-1][1] > 2
+    for rows, k in seen:
+        _assert_smith_laws(rows, k)
+    with pytest.raises(ValueError, match="fewer relations"):
+        smith_normal_form([[1, 0]], 2)
+
+
+def test_classes_sharing_coordinates_trip_the_check(monkeypatch):
+    def zero_transform(rows, k):
+        divisors, v = smith_normal_form(rows, k)
+        return divisors, [[0] * k for _ in range(k)]
+
+    monkeypatch.setattr(quadfield, "smith_normal_form", zero_transform)
+    class_group.cache_clear()
+    with pytest.raises(ConsistencyError, match="two classes share their coordinates"):
+        class_group(make_field(79))
 
 
 def test_p_sylow_data():
