@@ -7,18 +7,16 @@ from .arith import (
     ResidueSymbol,
     is_prime,
     kronecker,
-    mult_order,
     power_residue_symbol,
     sqrt_mod,
 )
-from .bounds import BoundReport, delta_from_phi_image, herbrand_report, required_n
+from .bounds import BoundReport, herbrand_report, required_n
 from .chebotarev import (
     AuxiliaryReduction,
     ExhaustedSearch,
     LambdaSpec,
     PrimeCandidate,
     check_conditions,
-    cyclic_quotient_exponent,
     find_auxiliary_prime,
     find_prime,
 )

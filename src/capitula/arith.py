@@ -242,12 +242,6 @@ def sqrt_mod(a: int, q: int) -> int | None:
     return min(r, q - r)
 
 
-def mult_order(a: int, q: int) -> int:
-    """Multiplicative order of a mod prime q.  Requires gcd(a, q) = 1."""
-    # the (q - 1)-th power residue symbol of a is a itself
-    return power_residue_symbol(a, q, q - 1).order
-
-
 def valuation(n: int, p: int) -> int:
     """Exponent of the prime p in the nonzero integer n."""
     if n == 0 or p < 2:

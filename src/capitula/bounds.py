@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import arith
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -64,20 +62,6 @@ def herbrand_report(G_order: int, n: int, delta: int, d_exp: int, w: int) -> Bou
         igpg_exp_bound=w + delta - d_exp,
         threshold_met=n >= w + delta - d_exp,
     )
-
-
-def delta_from_phi_image(index_r: int, p: int) -> int:
-    """p-adic valuation of the index of the unit-character image.
-
-    The quadratic specialization normalizes the character so the index
-    is 1 and delta comes out 0; the general entry point exists so the
-    report can be driven with other indices.
-    """
-    if index_r < 1:
-        raise ValueError("index must be a positive integer")
-    if not arith.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return arith.valuation(index_r, p)
 
 
 def required_n(w: int, delta: int, d_exp: int) -> int:

@@ -9,7 +9,8 @@ the exponent n when
   (4) q splits in L (kronecker(disc, q) = 1),
   (5) the p^n-th power residue symbol of the fundamental unit at a
       prime above q has exact order p^n (divided by phi_scale when the
-      unit character is replaced by a p-th power of itself),
+      unit character is replaced by a p-th power of itself; both
+      check_conditions and find_prime take it as phi_scale, default 1),
   (6) the class of that prime above q is the requested ideal class --
       or its inverse, since the two primes above q are conjugate and
       carry inverse classes; which one matched is recorded.
@@ -107,7 +108,6 @@ class PrimeCandidate:
     witness: Witness
     target_class: tuple
     matched_inverse: bool
-    phi_scale: int = 1
     cond3_note: str = _COND3_NOTE
 
     @property
@@ -146,18 +146,17 @@ def check_conditions(
     n: int,
     q: int,
     target_class,
-    spec: LambdaSpec | None = None,
+    phi_scale: int = 1,
 ) -> PrimeCandidate:
     """Evaluate all six conditions at q and package the witnesses.
 
-    q must not divide 2 p disc(L); such q are degenerate for condition
-    (1) and rejected with an error, so every returned candidate has
-    cond1 = True by construction.
+    phi_scale is the power of p by which the unit character is scaled
+    (LambdaSpec checks it): condition (5) asks for a symbol of exact
+    order p^n / phi_scale.  q must not divide 2 p disc(L); such q are
+    degenerate for condition (1) and rejected with an error, so every
+    returned candidate has cond1 = True by construction.
     """
-    if spec is None:
-        spec = LambdaSpec(p, n)
-    elif (spec.p, spec.n) != (p, n):
-        raise ValueError("spec does not match p, n")
+    spec = LambdaSpec(p, n, phi_scale)
     if not arith.is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if (2 * p * L.disc) % q == 0:
@@ -167,7 +166,7 @@ def check_conditions(
 
     cg = class_group(L)
     target = _normalize_class(cg, target_class)
-    pn = p**n
+    pn = spec.modulus
 
     cond1 = True
     cond2 = q % pn == 1
@@ -192,7 +191,7 @@ def check_conditions(
     # the symbol's order divides gcd(q - 1, p^n), which is below p^n
     # unless q = 1 (mod p^n); with the character scaled down the
     # implication is false (d = 79, p^n = 9, phi_scale = 3, q = 7)
-    if spec.phi_scale == 1 and cond4 and cond5 and not cond2:
+    if phi_scale == 1 and cond4 and cond5 and not cond2:
         raise ConsistencyError(f"conditions (4) and (5) hold at q = {q} but (2) does not")
 
     return PrimeCandidate(
@@ -208,7 +207,6 @@ def check_conditions(
         witness=Witness(root=root, symbol=symbol, class_coords=coords),
         target_class=target,
         matched_inverse=matched_inverse,
-        phi_scale=spec.phi_scale,
     )
 
 
@@ -227,28 +225,28 @@ def find_prime(
     p: int,
     n: int,
     target_class,
-    spec: LambdaSpec | None = None,
+    phi_scale: int = 1,
     q_bound: int = DEFAULT_Q_BOUND,
     jobs: int = 1,
 ):
-    """Smallest prime q <= q_bound passing all six conditions.
+    """Smallest prime q <= q_bound passing all six conditions, with
+    the unit character scaled by phi_scale as in check_conditions.
 
     Returns a PrimeCandidate, or an ExhaustedSearch value when the
     bound runs out.  With jobs > 1 the prime range is cut into blocks
     scanned by worker processes; the result is still the minimal
     qualifying prime because blocks are consumed in order.
     """
-    if spec is None:
-        spec = LambdaSpec(p, n)
+    LambdaSpec(p, n, phi_scale)  # refuse bad parameters before the scan
     cg = class_group(L)
     target = _require_p_sylow(cg, p, target_class)
 
     if jobs > 1:
-        return _find_prime_blocks(L, p, n, target, spec, q_bound, jobs)
+        return _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs)
 
     stats = {name: 0 for name in _COND_NAMES}
     hit, scanned = _scan(arith.iter_primes(q_bound), 2 * p * L.disc,
-                         _condition_test(L, p, n, target, spec), stats)
+                         _condition_test(L, p, n, target, phi_scale), stats)
     if hit is not None:
         return hit
     return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
@@ -276,9 +274,9 @@ def _scan(primes, bad, test, stats):
     return None, scanned
 
 
-def _condition_test(L, p, n, target, spec):
+def _condition_test(L, p, n, target, phi_scale):
     def test(q):
-        cand = check_conditions(L, p, n, q, target, spec)
+        cand = check_conditions(L, p, n, q, target, phi_scale)
         return cand, [name for name, ok in zip(_COND_NAMES, cand.flags()) if not ok]
     return test
 
@@ -288,12 +286,12 @@ def _scan_block(d, p, n, target, phi_scale, primes):
     None), the block's failure counts, and how many were scanned."""
     L = make_field(d)
     stats = {name: 0 for name in _COND_NAMES}
-    test = _condition_test(L, p, n, target, LambdaSpec(p, n, phi_scale))
+    test = _condition_test(L, p, n, target, phi_scale)
     hit, scanned = _scan(primes, 2 * p * L.disc, test, stats)
     return hit, stats, scanned
 
 
-def _find_prime_blocks(L, p, n, target, spec, q_bound, jobs):
+def _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs):
     # blocks are cut from the lazy prime stream and kept 2 * jobs deep in
     # flight; results are consumed in order, so the first hit is minimal
     primes = arith.iter_primes(q_bound)
@@ -303,7 +301,7 @@ def _find_prime_blocks(L, p, n, target, spec, q_bound, jobs):
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
 
         def submit(blk):
-            return pool.submit(_scan_block, L.d, p, n, target, spec.phi_scale, blk)
+            return pool.submit(_scan_block, L.d, p, n, target, phi_scale, blk)
 
         pending = collections.deque(map(submit, itertools.islice(blocks, 2 * jobs)))
         try:
@@ -397,16 +395,3 @@ def find_auxiliary_prime(
         statement=statement,
     )
 
-
-def cyclic_quotient_exponent(divisors, C_order: int) -> bool:
-    """Can a cyclic quotient of the group with the given elementary
-    divisors contain an element of order C_order?  True exactly when
-    C_order divides the group exponent (the lcm of the divisors)."""
-    if C_order < 1:
-        raise ValueError("C_order must be positive")
-    if C_order > 1 and len(arith.factorize(C_order)) != 1:
-        raise ValueError(f"C_order = {C_order} is not a prime power")
-    exponent = 1
-    for m in divisors:
-        exponent = math.lcm(exponent, int(m))
-    return exponent % C_order == 0

@@ -121,7 +121,6 @@ def _candidate_payload(cand) -> dict:
         },
         "target_class": list(cand.target_class),
         "matched_inverse": cand.matched_inverse,
-        "phi_scale": cand.phi_scale,
     }
 
 
@@ -154,16 +153,16 @@ def _open_record(command, d, p, n, selector, config):
     return L, cg, target, record
 
 
-def _find_candidate(L, spec, q, target, q_bound, jobs, record):
+def _find_candidate(L, p, n, phi_scale, q, target, q_bound, jobs, record):
     """Scan for q with find_prime (q None) or test the given q with
     check_conditions, and write the outcome into record: q and the
     exhausted payload, or the candidate payload.  Returns the candidate,
     or None when the scan is exhausted."""
     t0 = time.perf_counter()
     if q is None:
-        result = find_prime(L, spec.p, spec.n, target, spec, q_bound, jobs)
+        result = find_prime(L, p, n, target, phi_scale, q_bound, jobs)
     else:
-        result = check_conditions(L, spec.p, spec.n, q, target, spec)
+        result = check_conditions(L, p, n, q, target, phi_scale)
     record["timings_ms"]["search"] = _now_ms(t0)
     if isinstance(result, ExhaustedSearch):
         record["q"] = None
@@ -175,13 +174,28 @@ def _find_candidate(L, spec, q, target, q_bound, jobs, record):
 
 def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
     """Shared body of `search`: returns (record, found_candidate_or_None)."""
-    spec = LambdaSpec(p, n, phi_scale)
+    LambdaSpec(p, n, phi_scale)  # refuse bad parameters before the field is built
     L, _, target, record = _open_record(
         "search", d, p, n, selector,
         {"q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs},
     )
-    cand = _find_candidate(L, spec, None, target, q_bound, jobs, record)
+    cand = _find_candidate(L, p, n, phi_scale, None, target, q_bound, jobs, record)
     return record, cand
+
+
+def _certify_schedule(p, n, phi_scale, c0, max_doublings) -> RadiusSchedule:
+    """Check the parameters `certify` and `survey` share before any
+    field is built, and return the search schedule.  p^n above
+    REVERIFY_DEGREE_MAX is refused: its records could not be
+    re-verified."""
+    LambdaSpec(p, n, phi_scale)
+    schedule = RadiusSchedule(c0=c0, max_doublings=max_doublings)
+    if p**n > REVERIFY_DEGREE_MAX:
+        raise ValueError(
+            f"p^n = {p**n} is above {REVERIFY_DEGREE_MAX}, the largest "
+            "degree whose records can be re-verified"
+        )
+    return schedule
 
 
 def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doublings):
@@ -192,13 +206,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     (enumeration gave out).  Raises ValueError for invalid input and
     ConsistencyError if any internal cross-check trips.
     """
-    spec = LambdaSpec(p, n, phi_scale)
-    schedule = RadiusSchedule(c0=c0, max_doublings=max_doublings)
-    if spec.modulus > REVERIFY_DEGREE_MAX:
-        raise ValueError(
-            f"p^n = {spec.modulus} is above {REVERIFY_DEGREE_MAX}, the largest "
-            "degree whose records can be re-verified"
-        )
+    schedule = _certify_schedule(p, n, phi_scale, c0, max_doublings)
     L, cg, target, record = _open_record(
         "certify", d, p, n, selector,
         {"q": q, "q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs,
@@ -216,7 +224,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         )
     record["bound_report"] = asdict(report)
 
-    cand = _find_candidate(L, spec, q, target, q_bound, jobs, record)
+    cand = _find_candidate(L, p, n, phi_scale, q, target, q_bound, jobs, record)
     if cand is None:
         return record, "exhausted"
     if not cand.passed:
@@ -232,8 +240,6 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     sub_report = verify_subfield(F)
     timings["subfield"] = _now_ms(t0)
     record["subfield"] = {
-        "q": F.q,
-        "e": F.e,
         "period_poly": list(F.period_poly),
         "disc": sub_report.disc,
         "poly_disc": sub_report.poly_disc,
@@ -519,7 +525,7 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 
     sub = record["subfield"]
     click.echo(
-        f"subfield of Q(mu_{sub['q']}): degree {sub['e']}, "
+        f"subfield of Q(mu_{record['q']}): degree {p**n}, "
         f"eta polynomial {poly_str(sub['period_poly'])}, disc {sub['disc']}"
     )
     click.echo(f"compositum discriminant: {record['compositum_disc']}")
@@ -559,13 +565,16 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, printing each row (and appending each record) as
-    soon as its field is done.  A d past the desk bound, squarefree or
-    not, is invalid input."""
-    LambdaSpec(p, n, phi_scale)  # validates p odd prime, n >= 1, phi_scale | p^n
-    RadiusSchedule(c0=c0, max_doublings=max_doublings)  # validates c0 >= 1
+    soon as its field is done.  A range reaching past the desk bound,
+    squarefree or not, and p^n above REVERIFY_DEGREE_MAX are invalid
+    input, refused before any class group is computed."""
+    _certify_schedule(p, n, phi_scale, c0, max_doublings)
+    # disc(d) grows with d in each residue class mod 4, so one of the
+    # top four d has the range's largest discriminant
+    for d in range(max(2, dmin, dmax - 3), dmax + 1):
+        desk_disc(d)
     members = []
     for d in range(max(2, dmin), dmax + 1):
-        desk_disc(d)  # a d past the desk bound is refused before it is factored
         if is_squarefree(d) and class_group(make_field(d)).order % p == 0:
             members.append(d)
 

@@ -694,24 +694,23 @@ def certify_principal(
 
 
 def _certificate(alpha, nval, B, hnf, order) -> PrincipalityCertificate:
-    """Certificate of an element of exact norm +-N(B), sign normalised,
-    with its containment re-derived and the whole re-verified."""
-    alpha, nval = _normalize_sign(alpha, nval, order)
+    """Certificate of an element of exact norm nval = +-N(B), sign
+    normalised, with its containment derived.  It passes
+    verify_certificate by construction: the degree 2e is even, so
+    -alpha has norm nval too."""
+    alpha = _normalize_sign(alpha, order)
     containment = _solve_containment(hnf, alpha)
     if containment is None:
         raise ConsistencyError("enumerated vector escaped its own ideal lattice")
-    cert = PrincipalityCertificate(
+    return PrincipalityCertificate(
         alpha=tuple(alpha),
         norm_alpha=nval,
         ideal_norm=B.norm,
         containment=tuple(containment),
     )
-    if not verify_certificate(cert, B, order):
-        raise ConsistencyError("fresh certificate failed verification")
-    return cert
 
 
-def _normalize_sign(alpha, nval, order):
+def _normalize_sign(alpha, order):
     """Pick the sign with positive trace (positive leading coordinate
     when the trace vanishes); generators are only defined up to units
     anyway, this just fixes the reported representative."""
@@ -724,7 +723,7 @@ def _normalize_sign(alpha, nval, order):
                 break
     if flip:
         alpha = [-c for c in alpha]
-    return alpha, nval
+    return alpha
 
 
 def verify_certificate(

@@ -67,10 +67,6 @@ class CyclotomicSubfield:
         """
         return _mul_coords(u, v, self.e, self.f, self.tmat)
 
-    def trace_coords(self, u):
-        # every period has trace -1
-        return -sum(u)
-
     def trace_gram(self):
         """Exact Gram matrix Tr(eta_i eta_j) of the period basis."""
         e = self.e
@@ -78,8 +74,8 @@ class CyclotomicSubfield:
         gram = [[0] * e for _ in range(e)]
         for i in range(e):
             for j in range(i, e):
-                t = self.trace_coords(self.mul_coords(basis[i], basis[j]))
-                gram[i][j] = gram[j][i] = t
+                # every period has trace -1
+                gram[i][j] = gram[j][i] = -sum(self.mul_coords(basis[i], basis[j]))
         return gram
 
     def period_values(self):
@@ -241,9 +237,6 @@ def _minimal_polynomial(e, f, tmat) -> tuple:
         if c.denominator != 1:
             raise ConsistencyError("Newton's identities gave a non-integer")
         coeffs.append(int(c))
-    if coeffs[e] != 1 or coeffs[e - 1] != 1:
-        # monic, and the periods must sum to -1
-        raise ConsistencyError("period polynomial has the wrong leading terms")
     return tuple(coeffs)
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from capitula.bounds import BoundReport, delta_from_phi_image, herbrand_report, required_n
+from capitula.bounds import BoundReport, herbrand_report, required_n
 
 
 def test_quadratic_case_spot_values():
@@ -80,17 +80,6 @@ def test_threshold_met_exactly_from_required_n():
                     assert rep.threshold_met == (n >= w + delta - d_exp)
                     if rep.threshold_met:
                         assert n >= n0 or w + delta - d_exp < 1
-
-
-def test_delta_from_phi_image():
-    assert delta_from_phi_image(1, 3) == 0
-    assert delta_from_phi_image(9, 3) == 2
-    assert delta_from_phi_image(18, 3) == 2
-    assert delta_from_phi_image(8, 3) == 0
-    with pytest.raises(ValueError):
-        delta_from_phi_image(0, 3)
-    with pytest.raises(ValueError):
-        delta_from_phi_image(3, 4)
 
 
 def test_report_validation():

@@ -19,7 +19,6 @@ from capitula.chebotarev import (
     LambdaSpec,
     PrimeCandidate,
     check_conditions,
-    cyclic_quotient_exponent,
     find_auxiliary_prime,
     find_prime,
 )
@@ -106,8 +105,6 @@ def test_degenerate_q_rejected():
             check_conditions(L, 3, 1, q, TARGET_79)
     with pytest.raises(ValueError):
         check_conditions(L, 3, 1, 15, TARGET_79)  # not prime
-    with pytest.raises(ValueError):
-        check_conditions(L, 3, 1, 13, TARGET_79, spec=LambdaSpec(3, 2))
 
 
 def test_target_class_must_have_p_power_order():
@@ -149,7 +146,7 @@ def test_implication_raise_fires_on_a_wrong_symbol(monkeypatch):
 
     # with the scaled character (5) holds there, and that is no violation
     for n, q in [(1, 5), (2, 7)]:
-        scaled = check_conditions(L, 3, n, q, TARGET_79, spec=LambdaSpec(3, n, 3))
+        scaled = check_conditions(L, 3, n, q, TARGET_79, phi_scale=3)
         assert (scaled.cond2, scaled.cond4, scaled.cond5) == (False, True, True)
 
     real = arith.power_residue_symbol
@@ -261,20 +258,3 @@ def test_auxiliary_prime_validation_and_exhaustion():
     assert isinstance(out, ExhaustedSearch)
     assert out.scanned == 5130
     assert out.failures == {"cond1": 3, "split": 2561, "congruence": 5127, "class": 1}
-
-
-# ---------------------------------------------------------------------------
-# cyclic quotient exponent test
-
-
-def test_cyclic_quotient_exponent():
-    assert cyclic_quotient_exponent((3,), 3)
-    assert cyclic_quotient_exponent((2, 6), 3)
-    assert not cyclic_quotient_exponent((3, 3), 9)
-    assert not cyclic_quotient_exponent((2, 4), 3)
-    assert cyclic_quotient_exponent((), 1)
-    assert cyclic_quotient_exponent((5, 15), 5)
-    with pytest.raises(ValueError):
-        cyclic_quotient_exponent((3,), 6)
-    with pytest.raises(ValueError):
-        cyclic_quotient_exponent((3,), 0)

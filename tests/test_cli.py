@@ -175,6 +175,16 @@ def test_certify_auto_search_uses_smallest_q(runner, tmp_path):
     assert rec["q"] == 7
     assert rec["subfield"]["period_poly"] == [-1, -2, 1, 1]
     assert abs(rec["certificate"]["norm_alpha"]) == 343
+    # the line of the README's transcript, read from q and p^n
+    assert "subfield of Q(mu_7): degree 3, eta polynomial x^3 + x^2 - 2x - 1, disc 49" in result.output
+
+
+def test_certify_record_states_each_fact_once():
+    # phi_scale lives in config alone; q and p^n are not repeated in subfield
+    rec, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 0)
+    assert status == "ok"
+    assert "phi_scale" not in rec and rec["config"]["phi_scale"] == 1
+    assert list(rec["subfield"]) == ["period_poly", "disc", "poly_disc", "index", "irreducible_mod"]
 
 
 def test_certify_failed_conditions_exit_1(runner, tmp_path):
@@ -337,6 +347,33 @@ def test_survey_rejects_range_past_desk_bound(runner):
     )
     assert result.exit_code == 2
     assert "desk bound" in result.output
+
+
+def no_class_group(L):
+    raise AssertionError("survey computed a class group")
+
+
+def test_survey_checks_its_whole_range_against_the_desk_bound_first(runner, monkeypatch):
+    # only d = 1000002, the top of the range, is past the bound (disc 4000008)
+    monkeypatch.setattr(cli, "class_group", no_class_group)
+    result = runner.invoke(
+        main, ["survey", "--dmin", "999980", "--dmax", "1000002", "--p", "3"]
+    )
+    assert result.exit_code == 2
+    with pytest.raises(ValueError) as refused:
+        quadfield.make_field(1000002)
+    assert result.output == f"error: {refused.value}\n"
+
+
+def test_survey_refuses_p_power_above_27_before_any_class_group(runner, monkeypatch):
+    monkeypatch.setattr(cli, "class_group", no_class_group)
+    result = runner.invoke(
+        main, ["survey", "--dmin", "2", "--dmax", "300", "--p", "3", "--n", "4"]
+    )
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: p^n = 81 is above 27, the largest degree whose records can be re-verified\n"
+    )
 
 
 # ---------------------------------------------------------------------------
