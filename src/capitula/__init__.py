@@ -34,7 +34,6 @@ from .compositum import (
 from .cyclotomic import (
     CyclotomicSubfield,
     make_subfield,
-    period_cosets,
     verify_subfield,
 )
 from .quadfield import (

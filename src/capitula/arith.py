@@ -1,7 +1,8 @@
 """Modular arithmetic over Z: primality, symbols, square roots, orders.
 
 Everything here is exact integer arithmetic on Python ints.  No floats,
-no probabilistic answers below 2**64.
+no probabilistic answers below 2**64.  Factoring is trial division
+alone, which finishes every n below 10**12.
 """
 
 from __future__ import annotations
@@ -103,30 +104,13 @@ def iter_primes(bound: int):
         lo = hi
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle-finding variant; n must be odd, composite, not a
-    # prime power of a small prime.  Deterministic retry sequence.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed on {n}")  # pragma: no cover
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent}.
-
-    Trial division up to 10**6, then Pollard rho on what remains, so
-    anything whose second-largest prime factor is below 10**12 or so is
-    comfortable.  Raises on n <= 0.
+    """Prime factorization {p: exponent} of n >= 1, by trial division up
+    to TRIAL_DIVISION_BOUND (10**6).  What is left after it is 1 or a
+    prime unless n has two prime factors above the bound, so every
+    n < 10**12 is factored; such an n is refused with a ValueError, as
+    is n <= 0.  The package factors nothing larger than a d inside the
+    desk bound (at most 4 * 10**6) or q - 1 for a prime q <= 10**6.
     """
     if n <= 0:
         raise ValueError(f"factorize wants n >= 1, got {n}")
@@ -144,22 +128,13 @@ def factorize(n: int) -> dict[int, int]:
             n //= f
         f += steps[i]
         i = (i + 1) % 8
-    if n == 1:
-        return out
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack += [root, root]
-            continue
-        d = _pollard_rho(m)
-        stack += [d, m // d]
+    if n > 1:
+        if not is_prime(n):
+            raise ValueError(
+                f"{n} has two prime factors above {TRIAL_DIVISION_BOUND}, "
+                "beyond trial division"
+            )
+        out[n] = 1
     return out
 
 

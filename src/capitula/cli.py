@@ -16,6 +16,7 @@ _Capitula holds the one mapping of failures to exit codes.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 import time
@@ -79,6 +80,19 @@ def _append_record(path: str | None, record: dict) -> None:
         return
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
+
+
+def _appendable(ctx, param, path):
+    """--out callback: a path in a missing or unwritable directory is
+    invalid input, refused before any field is built (click's Path
+    refuses a directory and an unwritable file)."""
+    if path and not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise ValueError(f"cannot append records to {path}: no writable directory")
+    return path
+
+
+_out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                           callback=_appendable, help="Append a JSON record to this file.")
 
 
 def _structure_str(divisors) -> str:
@@ -359,8 +373,11 @@ def reverify_record(record) -> bool:
 
 
 def _survey_one(args):
-    """Worker for survey fan-out; must stay module-level picklable."""
+    """Worker for survey fan-out; must stay module-level picklable.
+    Returns None for a field whose class number p does not divide."""
     d, p, n, q_bound, phi_scale, c0, max_doublings = args
+    if class_group(make_field(d)).order % p:
+        return None
     try:
         record, status = run_certify(
             d, p, n, "generator", None, q_bound, phi_scale, 1, c0, max_doublings
@@ -436,8 +453,7 @@ def main():
 
 @main.command()
 @click.option("--d", type=int, required=True, help="Squarefree d >= 2.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Append a JSON record to this file.")
+@_out_option
 def classgroup(d, out):
     """Class number and group structure of Q(sqrt(d))."""
     cg = class_group(make_field(d))
@@ -467,8 +483,7 @@ _search_options = [
                  help="Power of p scaling the unit character."),
     click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
                  help="Worker processes for the prime scan."),
-    click.option("--out", type=click.Path(dir_okay=False), default=None,
-                 help="Append a JSON record to this file."),
+    _out_option,
 ]
 
 
@@ -561,30 +576,27 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 @click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True)
 @click.option("--max-doublings", type=click.IntRange(min=0),
               default=RadiusSchedule.max_doublings, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
-    divisible by p, printing each row (and appending each record) as
-    soon as its field is done.  A range reaching past the desk bound,
-    squarefree or not, and p^n above REVERIFY_DEGREE_MAX are invalid
-    input, refused before any class group is computed."""
+    divisible by p, in one pass over the range, printing each row (and
+    appending each record) as soon as its field is done.  A range
+    reaching past the desk bound, squarefree or not, and p^n above
+    REVERIFY_DEGREE_MAX are invalid input, refused before any class
+    group is computed."""
     _certify_schedule(p, n, phi_scale, c0, max_doublings)
     # disc(d) grows with d in each residue class mod 4, so one of the
     # top four d has the range's largest discriminant
     for d in range(max(2, dmin, dmax - 3), dmax + 1):
         desk_disc(d)
-    members = []
-    for d in range(max(2, dmin), dmax + 1):
-        if is_squarefree(d) and class_group(make_field(d)).order % p == 0:
-            members.append(d)
-
-    work = [(d, p, n, qbound, phi_scale, c0, max_doublings) for d in members]
+    work = [(d, p, n, qbound, phi_scale, c0, max_doublings)
+            for d in range(max(2, dmin), dmax + 1) if is_squarefree(d)]
     pool = futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and len(work) > 1 else None
     results = pool.map(_survey_one, work) if pool else map(_survey_one, work)
     click.echo(f"{'d':>6} {'h':>4} {'q':>8} {'status':>10} {'ms':>9}")
-    certified = 0
+    fields = certified = 0
     try:
-        for d, record, status in results:
+        for d, record, status in filter(None, results):
             _append_record(out, record)
             h = record.get("class_group", {}).get("order")
             qv = record.get("q")
@@ -593,11 +605,12 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
                 f"{d:>6} {h if h is not None else '-':>4} "
                 f"{qv if qv is not None else '-':>8} {status:>10} {ms:>9.1f}"
             )
+            fields += 1
             certified += status == "ok"
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    click.echo(f"{len(work)} fields, {certified} certified")
+    click.echo(f"{fields} fields, {certified} certified")
 
 
 @main.command()
@@ -626,7 +639,7 @@ def bound(g_order, n, delta, d_exp, w):
               help="Auxiliary degree exponent: F_0 has degree p^a.")
 @click.option("--class", "selector", default="generator", show_default=True)
 @click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_out_option
 def auxiliary(d, p, a, selector, qbound, out):
     """Auxiliary-prime reduction: a split prime q = 1 (mod 2 p^a) whose
     class matches the target, with the resulting power statement."""

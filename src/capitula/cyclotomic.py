@@ -111,27 +111,6 @@ def poly_str(coeffs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def period_cosets(q: int, e: int) -> tuple:
-    """The e cosets of the index-e subgroup of (Z/q)^*, in the
-    deterministic order H, gH, g^2 H, ... for the least primitive
-    root g.  Elements inside a coset are sorted.
-    """
-    _validate(q, e)
-    g = arith.least_primitive_root(q)
-    return _cosets(q, e, g)
-
-
-def _validate(q: int, e: int) -> None:
-    if not arith.is_prime(q):
-        raise ValueError(f"{q} is not prime")
-    if e < 1 or (q - 1) % e != 0:
-        raise ValueError(f"degree {e} does not divide {q} - 1")
-
-
-def _cosets(q: int, e: int, g: int) -> tuple:
-    return tuple(tuple(sorted(_coset(q, e, g, i))) for i in range(e))
-
-
 def _coset(q: int, e: int, g: int, i: int):
     """The elements g^i, g^(i+e), g^(i+2e), ... of coset i, unsorted."""
     h, step = pow(g, i, q), pow(g, e, q)
@@ -158,7 +137,10 @@ def make_subfield(q: int, e: int) -> CyclotomicSubfield:
     (7, 3) gives x^3 + x^2 - 2x - 1; (q, 1) gives x + 1 since the full
     period is the sum of all nontrivial q-th roots of unity.
     """
-    _validate(q, e)
+    if not arith.is_prime(q):
+        raise ValueError(f"{q} is not prime")
+    if e < 1 or (q - 1) % e != 0:
+        raise ValueError(f"degree {e} does not divide {q} - 1")
     if e % 2 == 0:
         raise ValueError("even degree is out of scope (the base prime is odd)")
     return _build_subfield(q, e, arith.least_primitive_root(q))

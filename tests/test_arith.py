@@ -9,6 +9,8 @@ import itertools
 import math
 import tracemalloc
 
+import pytest
+
 from capitula.arith import (
     SIEVE_WINDOW,
     ResidueSymbol,
@@ -106,9 +108,14 @@ def test_factorize_round_trip():
 
 
 def test_factorize_semiprime():
+    # trial division to 10**6 finishes whatever has at most one prime
+    # factor above it, and refuses the rest instead of guessing
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
     p, q = 10**9 + 7, 10**9 + 9
-    assert factorize(p * q) == {p: 1, q: 1}
-    assert factorize(p * p) == {p: 2}
+    assert factorize(2**5 * 3 * p) == {2: 5, 3: 1, p: 1}
+    for n in (p * q, p * p):
+        with pytest.raises(ValueError, match="two prime factors above"):
+            factorize(n)
 
 
 def test_is_squarefree_oracle():

@@ -340,6 +340,46 @@ def test_survey_streams_each_record_as_its_field_finishes(runner, tmp_path, monk
     assert "internal consistency failure: injected" in result.output
 
 
+def test_survey_streams_from_its_first_field(runner, monkeypatch):
+    # 79 is the first d with 3 | h; the survey walks its range once, so
+    # a failure there stops it before any later field's class group
+    seen = []
+    real_class_group = cli.class_group
+
+    def recording_class_group(L):
+        seen.append(L.d)
+        return real_class_group(L)
+
+    def run_certify_or_fail(d, *args):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(cli, "class_group", recording_class_group)
+    monkeypatch.setattr(cli, "run_certify", run_certify_or_fail)
+    result = runner.invoke(main, ["survey", "--dmin", "2", "--dmax", "500", "--p", "3"])
+    assert result.exit_code == 3
+    assert seen and max(seen) == 79
+
+
+def test_survey_worker_processes_agree_with_one_process(runner, tmp_path):
+    # the class groups and the certificates both run in the workers;
+    # rows and records match the serial run up to the timings
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        result = runner.invoke(main, [
+            "survey", "--dmin", "2", "--dmax", "260", "--p", "3",
+            "--max-doublings", "0", "--jobs", jobs, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        records = read_records(out)
+        for rec in records:
+            rec.pop("timings_ms")
+        rows_without_ms = [line.split()[:4] for line in result.output.splitlines()]
+        runs[jobs] = rows_without_ms, records
+    assert runs["1"] == runs["2"]
+    assert runs["1"][0][-1] == ["7", "fields,", "5", "certified"]
+
+
 def test_survey_rejects_range_past_desk_bound(runner):
     # d = 1000002 = 2 * 3 * 166667 is squarefree, but disc = 4 d > 4 * 10^6
     result = runner.invoke(
@@ -630,8 +670,9 @@ def test_invalid_input_exits_2(runner, args):
 
 
 def test_survey_refuses_a_huge_d_before_factoring_it(runner, monkeypatch):
-    # 10000000000000000051 * 10000000000000000087: factoring it would
-    # run Pollard rho for minutes
+    # 10000000000000000051 * 10000000000000000087: factorize would
+    # trial-divide it up to 10^6 and then refuse it as beyond trial
+    # division, a ValueError that does not name the desk bound
     big = 100000000000000001380000000000000004437
 
     def no_factoring(n):
@@ -641,6 +682,16 @@ def test_survey_refuses_a_huge_d_before_factoring_it(runner, monkeypatch):
     result = runner.invoke(main, ["survey", "--dmin", str(big), "--dmax", str(big), "--p", "3"])
     assert result.exit_code == 2
     assert result.output == f"error: disc {big} is above the desk bound {quadfield.DESK_DISC_BOUND}\n"
+
+
+@pytest.mark.parametrize("args", FAILING_COMMANDS.values(), ids=FAILING_COMMANDS.keys())
+def test_unwritable_out_exits_2_before_any_class_group(runner, monkeypatch, tmp_path, args):
+    monkeypatch.setattr(cli, "class_group", no_class_group)
+    out = tmp_path / "missing" / "r.jsonl"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output == f"error: cannot append records to {out}: no writable directory\n"
+    assert not out.parent.exists()
 
 
 def test_tripped_class_group_cross_check_exits_3(runner, monkeypatch):
