@@ -30,6 +30,8 @@ condition is starving the scan.
 from __future__ import annotations
 
 import collections
+import contextlib
+import functools
 import itertools
 import math
 from concurrent import futures
@@ -291,31 +293,49 @@ def _scan_block(d, p, n, target, phi_scale, primes):
     return hit, stats, scanned
 
 
-def _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs):
-    # blocks are cut from the lazy prime stream and kept 2 * jobs deep in
-    # flight; results are consumed in order, so the first hit is minimal
-    primes = arith.iter_primes(q_bound)
-    blocks = iter(lambda: list(itertools.islice(primes, 4000)), [])
-    stats = {name: 0 for name in _COND_NAMES}
-    scanned = 0
+def ordered_map(fn, items, jobs, ahead=2):
+    """fn over items, yielding the results in input order.
+
+    With jobs == 1 this is map.  Otherwise jobs worker processes run
+    fn (fn and the items must pickle) with at most ahead * jobs items
+    submitted and not yet yielded, so items, which may be endless, is
+    read only as far as the results are taken; closing the generator
+    cancels the items not yet started and waits for the running ones.
+    A slow item at the head stalls the workers once the ahead * jobs
+    items behind it are done, so cheap, uneven items want a large ahead.
+    """
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    items = iter(items)
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-
-        def submit(blk):
-            return pool.submit(_scan_block, L.d, p, n, target, phi_scale, blk)
-
-        pending = collections.deque(map(submit, itertools.islice(blocks, 2 * jobs)))
+        pending = collections.deque(pool.submit(fn, x) for x in itertools.islice(items, ahead * jobs))
         try:
             while pending:
-                hit, block_stats, block_scanned = pending.popleft().result()
-                scanned += block_scanned
-                for name in _COND_NAMES:
-                    stats[name] += block_stats[name]
-                if hit is not None:
-                    return hit
-                pending.extend(map(submit, itertools.islice(blocks, 1)))
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, x) for x in itertools.islice(items, 1))
+                yield result
         finally:
             for fut in pending:
                 fut.cancel()
+
+
+def _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs):
+    # blocks are cut from the lazy prime stream, 2 * jobs ahead at most
+    # since each costs the parent ~2 ms, and come back in order, so the
+    # first hit is minimal
+    primes = arith.iter_primes(q_bound)
+    blocks = iter(lambda: list(itertools.islice(primes, 4000)), [])
+    scan = functools.partial(_scan_block, L.d, p, n, target, phi_scale)
+    stats = {name: 0 for name in _COND_NAMES}
+    scanned = 0
+    with contextlib.closing(ordered_map(scan, blocks, jobs)) as results:
+        for hit, block_stats, block_scanned in results:
+            scanned += block_scanned
+            for name in _COND_NAMES:
+                stats[name] += block_stats[name]
+            if hit is not None:
+                return hit
     return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
 
 
@@ -328,9 +348,6 @@ class AuxiliaryReduction:
     q: int
     p: int
     a: int
-    degree: int
-    split: bool
-    congruence_ok: bool
     class_coords: tuple
     target_class: tuple
     matched_inverse: bool
@@ -385,9 +402,6 @@ def find_auxiliary_prime(
         q=q,
         p=p,
         a=a,
-        degree=pa,
-        split=True,
-        congruence_ok=True,
         class_coords=coords,
         target_class=target,
         matched_inverse=coords == inverse and target != inverse,

@@ -199,8 +199,9 @@ def extend_ideal(I: QuadIdeal, order: CompositumOrder) -> IdealLatticeBasis:
     """Lattice of I.O_M in the order basis.
 
     Rows are generated by multiplying the two Z-generators of I by
-    every basis vector; HNF crushes them to 2e independent rows whose
-    diagonal product is the index [O_M : I.O_M] = N_L(I)^e.
+    every basis vector; I has Z-rank 2, so I (x) O_F has rank 2e and
+    HNF crushes them to 2e independent rows whose diagonal product is
+    the index [O_M : I.O_M] = N_L(I)^e.
     """
     if I.field != order.L:
         raise ValueError("ideal does not live in the order's quadratic field")
@@ -223,8 +224,6 @@ def extend_ideal(I: QuadIdeal, order: CompositumOrder) -> IdealLatticeBasis:
                 row[e + i] = ga[1]
                 rows.append(row)
     hnf = hnf_rows(rows)
-    if len(hnf) != n:
-        raise ConsistencyError("extended ideal lattice is not full rank")
     det = 1
     for i in range(n):
         det *= hnf[i][i]
@@ -480,17 +479,13 @@ def exact_norm(alpha, order: CompositumOrder) -> int:
     exact integer, through the tower N_M = N_F o N_{M/F}.  The conjugate
     of w over F is s - w, so alpha = x + y w has relative norm
     x^2 + s x y + N(w) y^2 = x (x + s y) + N(w) y^2 in F, and N_F of
-    that is the determinant of its e x e multiplication matrix."""
+    that is F.norm."""
     F = order.F
-    e = F.e
-    x, y = alpha[:e], alpha[e:]
+    x, y = alpha[:F.e], alpha[F.e:]
     s, nw = order.L.s, order.L.norm_omega()
     xs = F.mul_coords(x, [xi + s * yi for xi, yi in zip(x, y)])
     yy = F.mul_coords(y, y)
-    rel = [a + nw * b for a, b in zip(xs, yy)]
-    return det_bareiss(
-        [F.mul_coords(rel, [1 if k == r else 0 for k in range(e)]) for r in range(e)]
-    )
+    return F.norm([a + nw * b for a, b in zip(xs, yy)])
 
 
 def _solve_containment(hnf, alpha):

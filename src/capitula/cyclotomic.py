@@ -67,6 +67,12 @@ class CyclotomicSubfield:
         """
         return _mul_coords(u, v, self.e, self.f, self.tmat)
 
+    def norm(self, x) -> int:
+        """N_F(x), exactly: the determinant of the e x e matrix of
+        multiplication by x on the period basis."""
+        e = self.e
+        return det_bareiss([self.mul_coords(x, [int(k == r) for k in range(e)]) for r in range(e)])
+
     def trace_gram(self):
         """Exact Gram matrix Tr(eta_i eta_j) of the period basis."""
         e = self.e
@@ -327,8 +333,7 @@ def _irreducible_witness(sub: CyclotomicSubfield) -> int:
     """
     e = sub.e
     prime_divs = sorted(arith.factorize(e))
-    basis = [[int(k == j) for k in range(e)] for j in range(e)]
-    eta0 = basis[0]
+    eta0 = [1] + [0] * (e - 1)
     for t in arith.iter_primes(20_000):
         frob = eta0  # eta_0^t mod t by square-and-multiply
         for bit in bin(t)[3:]:
@@ -342,6 +347,6 @@ def _irreducible_witness(sub: CyclotomicSubfield) -> int:
         if orbit[e] != eta0:
             continue
         gaps = ([a - b for a, b in zip(orbit[e // l], eta0)] for l in prime_divs)
-        if all(det_bareiss([sub.mul_coords(g, b) for b in basis]) % t for g in gaps):
+        if all(sub.norm(g) % t for g in gaps):
             return t
     raise ConsistencyError("no irreducibility witness below 20000")

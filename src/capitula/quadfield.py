@@ -270,8 +270,6 @@ def prime_ideal_above(L: QuadraticField, q: int) -> QuadIdeal:
         b = 0 if L.norm_element(0, 1) % 2 == 0 else 1
         return QuadIdeal(L, 2, b)
     r = arith.sqrt_mod(L.d % q, q)
-    if r is None:
-        raise ConsistencyError(f"{L.d} has no square root mod the split prime {q}")
     b = r if L.s == 0 else (r - 1) * pow(2, -1, q) % q
     return QuadIdeal(L, q, b % q)
 

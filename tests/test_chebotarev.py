@@ -9,11 +9,13 @@ exactly when no candidate ever trips it.
 """
 
 import dataclasses
+import itertools
+import time
 
 import pytest
 
 from capitula import arith
-from capitula.arith import ResidueSymbol, iter_primes
+from capitula.arith import ResidueSymbol, iter_primes, kronecker
 from capitula.chebotarev import (
     ExhaustedSearch,
     LambdaSpec,
@@ -21,6 +23,7 @@ from capitula.chebotarev import (
     check_conditions,
     find_auxiliary_prime,
     find_prime,
+    ordered_map,
 )
 from capitula.errors import ConsistencyError
 from capitula.quadfield import class_group, make_field
@@ -212,6 +215,20 @@ def test_find_prime_exhausted_counts_across_sieve_windows():
         assert (out.scanned, out.failures) == (7848, want)
 
 
+def even_slower(i):
+    # even items finish after the odd ones submitted with them
+    time.sleep(0.05 * (i % 2 == 0))
+    return i
+
+
+def test_ordered_map_reads_an_endless_input_in_order_and_closes_promptly():
+    results = ordered_map(even_slower, itertools.count(), 2)
+    assert list(itertools.islice(results, 5)) == [0, 1, 2, 3, 4]
+    t0 = time.perf_counter()
+    results.close()
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_find_prime_matched_inverse_is_flagged():
     # d = 229 has h = 3; whichever of q, q-bar matches, the flag tells
     L = make_field(229)
@@ -229,9 +246,8 @@ def test_auxiliary_prime_for_79():
     L = make_field(79)
     aux = find_auxiliary_prime(L, 3, 1, TARGET_79)
     assert aux.q == 7
-    assert aux.degree == 3
-    assert aux.split and aux.congruence_ok
-    assert aux.q % 6 == 1
+    assert kronecker(L.disc, aux.q) == 1
+    assert aux.q % (2 * 3) == 1
     assert aux.class_coords in (TARGET_79, (2,))
     assert "Cl_L'^3" in aux.statement
     assert f"mu_{aux.q}" in aux.statement
@@ -239,9 +255,11 @@ def test_auxiliary_prime_for_79():
 
 
 def test_auxiliary_prime_deeper_level():
-    aux = find_auxiliary_prime(make_field(79), 3, 2, TARGET_79)
-    assert aux.q % 18 == 1
-    assert aux.degree == 9
+    L = make_field(79)
+    aux = find_auxiliary_prime(L, 3, 2, TARGET_79)
+    assert kronecker(L.disc, aux.q) == 1
+    assert aux.q % (2 * 3**2) == 1
+    assert "of degree 9" in aux.statement
     assert "Cl_L'^9" in aux.statement
 
 

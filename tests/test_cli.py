@@ -360,6 +360,29 @@ def test_survey_streams_from_its_first_field(runner, monkeypatch):
     assert seen and max(seen) == 79
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_survey_reads_its_range_lazily(runner, monkeypatch, jobs):
+    # the range is tested for squarefree d only as far as the survey has
+    # come, and its window ahead, so a failure at 79 stops it long
+    # before d = 20000
+    seen = []
+    real_is_squarefree = cli.is_squarefree
+
+    def counted_is_squarefree(d):
+        seen.append(d)
+        return real_is_squarefree(d)
+
+    def run_certify_or_fail(d, *args):
+        raise ConsistencyError("injected")
+
+    monkeypatch.setattr(cli, "is_squarefree", counted_is_squarefree)
+    monkeypatch.setattr(cli, "run_certify", run_certify_or_fail)
+    result = runner.invoke(main, ["survey", "--dmin", "2", "--dmax", "20000", "--p", "3",
+                                  "--jobs", str(jobs)])
+    assert result.exit_code == 3
+    assert len(seen) < 200 + 2 * cli.SURVEY_AHEAD * (jobs - 1)
+
+
 def test_survey_worker_processes_agree_with_one_process(runner, tmp_path):
     # the class groups and the certificates both run in the workers;
     # rows and records match the serial run up to the timings
@@ -659,6 +682,11 @@ INVALID_INPUTS = {
     "survey-c0": ["survey", "--dmin", "79", "--dmax", "80", "--p", "3", "--c0", "0"],
     "bound": ["bound", "--g-order", "2", "--n", "0", "--w", "1"],
     "auxiliary": ["auxiliary", "--d", "2", "--p", "3"],
+    # options click itself refuses
+    "classgroup-out-dir": ["classgroup", "--d", "79", "--out", "."],
+    "classgroup-no-d": ["classgroup"],
+    "survey-jobs-0": ["survey", "--dmax", "100", "--p", "3", "--jobs", "0"],
+    "certify-n-0": ["certify", "--d", "79", "--n", "0"],
 }
 
 
@@ -667,6 +695,7 @@ def test_invalid_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.output.startswith("error: ")
+    assert "Usage:" not in result.output
 
 
 def test_survey_refuses_a_huge_d_before_factoring_it(runner, monkeypatch):
