@@ -26,13 +26,16 @@ what they keep.  Every other walk, each twisted try included, covers
 half the ball, the vectors whose last nonzero coordinate is positive,
 and mirrors what it keeps: y and -y have the same |N|, and the floats
 that judge -y are exactly those of y negated.  Each walk has a visit
-budget and stops when it is spent; the kept vectors are ranked
-afterwards by the walk's form and then by the element itself in order
-coordinates, so neither the order of the walk nor its basis changes
-the generator.  A generator need not be short in T2: its conjugates
-can be far from balanced.  So
-the search goes on with seeded twisted tries, the Arakelov form of
-Buchmann's principal-ideal method: the lattice is walked under the
+budget and stops when it is spent.  It tests the exact norm of each
+vector the band keeps as it meets it, and after a hit its ball shrinks
+to that hit's form, ties kept (Schnorr and Euchner), so the rest of the
+walk still meets every generator that ranks no worse.  The hits are
+ranked afterwards by the walk's form and then by the element itself in
+order coordinates, so neither the order of the walk nor its basis
+changes the generator.  A generator need not be short in T2: its
+conjugates can be far from balanced.  So the search goes on with
+seeded twisted tries, the Arakelov form of Buchmann's principal-ideal
+method: the lattice is walked under the
 trace form twisted by exp(2 s_j) on the j-th embedding, with s random
 in the trace-zero hyperplane, which rebalances a generator whose
 log-conjugates lie along s.  Each try twists the LLL-reduced basis of
@@ -269,7 +272,9 @@ class PrincipalityCertificate:
 @dataclass(frozen=True)
 class EnumerationRound:
     """One untwisted walk: its radius, vectors walked, vectors kept by
-    the norm band, and leaf rows the row bound counted unscanned."""
+    the norm band, and leaf rows the row bound counted unscanned.  After
+    an exact-norm hit the ball shrinks to the hit's form, so the last
+    three count the shrunken ball."""
 
     radius_sq: int
     visited: int
@@ -312,7 +317,7 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
+def _enumerate_short(gram, radius_sq, cap, filt, pairs=0, accept=None):
     """Nonzero integer vectors y with y G y^t <= radius_sq, by
     Fincke-Pohst depth-first descent.  Exact: the quadratic form is
     split as sum_i z_i^2 / (d_i d_{i+1}) with the integral
@@ -353,6 +358,16 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     expanded to its 6 or 2 images, so an uncapped walk keeps and counts
     what the full walk does.
 
+    accept, when given, is called on each orbit representative the band
+    keeps.  When it returns True the ball shrinks to that vector's form,
+    ties kept: the rest of its leaf row stops at the new bound, every
+    later node works in the smaller ball, and rows are counted unscanned
+    in it.  So the walk still meets every vector of its order that
+    ranks no worse than what it accepted, and accept should hold alike
+    on a whole orbit.  A walk that accepts nothing walks as without
+    accept.  Under a cap, an accepting walk can reach further along its
+    order than the walk without accept.
+
     The cap is a visit budget: the walk stops, capped, as soon as
     visited >= cap, and a row is counted unscanned only when that stays
     below the cap, so a capped walk ends with cap <= visited < cap + 6
@@ -361,8 +376,9 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     it themselves.
 
     Returns (kept, visited, capped, rows_skipped): visited counts every
-    nonzero vector in the radius up to the cap, capped reports a stop
-    at the cap, rows_skipped the leaf rows the bound counted unscanned.
+    nonzero vector in the ball, as it shrinks, up to the cap, capped
+    reports a stop at the cap, rows_skipped the leaf rows the bound
+    counted unscanned.
     """
     n = len(gram)
     d, lam = gram_schmidt_int(gram)
@@ -387,7 +403,11 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
     def descend(i, budget, mult):
         # budget = scale * (remaining T2) >= 0; mult: the multiplicity of
         # the orbit of the vectors below, 0 while every higher y is zero
-        nonlocal visited, capped, rows_skipped
+        nonlocal visited, capped, rows_skipped, cut
+        room = budget - cut
+        if room < 0:
+            # the ball shrank past this prefix after an accepted vector
+            return
         m = d[i + 1]
         col = lamcols[i]
         c = 0
@@ -395,8 +415,8 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
             yj = y[i + 1 + t]
             if yj:
                 c -= col[t] * yj
-        # (m y_i - c)^2 <= budget / weight[i], over Z via one isqrt
-        s = isqrt(budget // weight[i])
+        # (m y_i - c)^2 <= room / weight[i], over Z via one isqrt
+        s = isqrt(room // weight[i])
         lo = -((s - c) // m)
         hi = (c + s) // m
         if not mult:
@@ -421,20 +441,35 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
                     rows_skipped += mult
                     return
             step = mult or sizes[0]
-            for yi in range(lo, hi + 1):
-                if yi == 0 and not mult:
-                    continue
-                visited += step
-                prod = 1.0
-                for j in range(n):
-                    prod *= fvals[j] + yi * fc0[j]
-                if band_lo <= abs(prod) <= band_hi:
-                    y[0] = yi
-                    kept.append(tuple(y))
-                    y[0] = 0
-                if visited >= cap:
-                    capped = True
+            while lo <= hi:
+                for yi in range(lo, hi + 1):
+                    if yi == 0 and not mult:
+                        continue
+                    visited += step
+                    prod = 1.0
+                    for j in range(n):
+                        prod *= fvals[j] + yi * fc0[j]
+                    if band_lo <= abs(prod) <= band_hi:
+                        y[0] = yi
+                        v = tuple(y)
+                        y[0] = 0
+                        kept.append(v)
+                        if accept is not None and accept(v):
+                            # shrink the ball to v's form: the rest of
+                            # the row keeps |m y_0 - c| <= |z|
+                            z = yi * m - c
+                            cut = budget - weight[0] * z * z
+                            hi = (c + abs(z)) // m
+                            if visited >= cap:
+                                capped = True
+                                return
+                            break
+                    if visited >= cap:
+                        capped = True
+                        return
+                else:
                     return
+                lo = yi + 1
             return
         fc = fcol[i]
         base = fvals[:]
@@ -452,7 +487,7 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0):
         y[i] = 0
 
     kept = []
-    visited = rows_skipped = 0
+    visited = rows_skipped = cut = 0
     capped = False
     fvals = [0.0] * n
     descend(n - 1, radius_sq * scale, 0)
@@ -605,17 +640,21 @@ def certify_principal(
     random.Random(repr((order.disc, B.hnf))), round the float conjugates
     of the untwisted reduced rows (not the HNF rows) scaled by exp(s_j)
     to integers, LLL-reduce their Gram matrix and walk it, with a budget
-    of TRY_VISITS visits.  Each walk keeps the vectors whose approximate
-    norm falls in a generous factor-4 band around the ideal norm,
-    computed from double-precision embeddings of the basis walked
-    (math.sqrt(disc(L)) and the float periods); the band is untwisted,
-    since a twist with sum s_j = 0 leaves the norm unchanged.  The kept
-    vectors x are ranked by the walk's form, then by alpha = x.rows in
-    order coordinates, compared from the last coordinate, so the rank
-    of an element does not depend on the basis walked; the first whose
-    exact norm matches the ideal norm in absolute value is the
-    generator.  The accept decision is always exact, and
-    containment is re-derived independently for the certificate.
+    of TRY_VISITS visits; a try whose rounded Gram is not positive
+    definite is counted and not walked.  Each walk keeps the vectors
+    whose approximate norm falls in a generous factor-4 band around the
+    ideal norm, computed from double-precision embeddings of the basis
+    walked (math.sqrt(disc(L)) and the float periods); the band is
+    untwisted, since a twist with sum s_j = 0 leaves the norm unchanged.
+    The walk accepts a kept vector x when the exact norm of alpha =
+    x.rows matches the ideal norm in absolute value, and its ball then
+    shrinks to x's form, ties kept.  The accepted vectors' images are
+    ranked by the walk's form, then by alpha in order coordinates,
+    compared from the last coordinate, so the rank of an element does
+    not depend on the basis walked; the first is the generator, and on a
+    walk that ends within its budget it is the whole ball's first.  The
+    accept decision is always exact, and containment is re-derived
+    independently for the certificate.
 
     Returns the certificate, or NotFound when the budget runs out; that
     is inconclusive.  A dict passed as counters receives the number of
@@ -632,19 +671,33 @@ def certify_principal(
     enumerated = 0
 
     def walk(gram, rows, radius_sq, cap, pairs):
-        # rank what the walk keeps by its own form, then by alpha read
-        # from the last coordinate, so alpha does not depend on the basis
+        # the walk accepts the vectors of exact norm +-N(B), and its ball
+        # shrinks to each one's form; rank their images by that form, then
+        # by alpha read from the last coordinate, so alpha does not depend
+        # on the basis
         nonlocal enumerated
+        hits = []
+
+        def accept(x):
+            nval = exact_norm(_mat_vec(x, rows), order)
+            if abs(nval) != B.norm:
+                return False
+            hits.append((x, nval))
+            return True
+
         filt = (_band_rows(emb, rows), B.norm / 4.0, B.norm * 4.0)
-        kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt, pairs)
+        kept, visited, capped, skipped = _enumerate_short(
+            gram, radius_sq, cap, filt, pairs, accept
+        )
         enumerated += visited
         cert = None
-        for _, colex in sorted((_qform(gram, x, x), _mat_vec(x, rows)[::-1]) for x in kept):
-            alpha = colex[::-1]
-            nval = exact_norm(alpha, order)
-            if abs(nval) == B.norm:
-                cert = _certificate(alpha, nval, B, hnf, order)
-                break
+        if hits:
+            _, colex, nval = min(
+                (_qform(gram, u, u), _mat_vec(u, rows)[::-1], nval)
+                for x, nval in hits
+                for u in _orbit(x, pairs)
+            )
+            cert = _certificate(colex[::-1], nval, B, hnf, order)
         return cert, EnumerationRound(radius_sq, visited, len(kept), skipped), capped
 
     def done(outcome):
@@ -679,7 +732,11 @@ def certify_principal(
     for tries in range(1, schedule.tries + 1):
         gram, k = _twisted_gram(conj, _twist(rng, n))
         radius_sq = twist_sq << 2 * k if k >= 0 else twist_sq >> -2 * k
-        red_gram, U, swaps = lll_reduce_gram(gram)
+        try:
+            red_gram, U, swaps = lll_reduce_gram(gram)
+        except ValueError:
+            # rounding left the twisted rows dependent: nothing to walk
+            continue
         lll_swaps += swaps
         redrows = [_mat_vec(U[i], base) for i in range(n)]
         cert = walk(red_gram, redrows, radius_sq, TRY_VISITS, 0)[0]

@@ -378,8 +378,8 @@ def test_flagship_capitulation_d79():
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 343
     # the one untwisted round: radius, visits, band-kept and rows
-    # counted unscanned
-    assert counters["rounds"] == (EnumerationRound(5472, 8950, 18, 1538),)
+    # counted unscanned, in a ball that shrinks at each exact-norm hit
+    assert counters["rounds"] == (EnumerationRound(5472, 4750, 18, 872),)
     assert cert.ideal_norm == 343
     # the certificate README shows
     assert cert.alpha == (-7, -14, -24, 0, 0, -1)
@@ -492,9 +492,11 @@ def test_certificate_of_985_is_pinned():
     cert = certify_principal(B, order, counters=counters)
     assert cert.alpha == (11, -19, -3, 1, 0, -2)
     assert counters["tries"] == 0
+    # the first round has no hit and walks its whole ball; the second
+    # shrinks its ball at each hit
     assert counters["rounds"] == (
         EnumerationRound(50952, 8768, 0, 1514),
-        EnumerationRound(101904, 71344, 6, 9094),
+        EnumerationRound(101904, 33910, 6, 4204),
     )
     assert counters["enumerated"] == sum(r.visited for r in counters["rounds"])
     assert counters["lll_swaps"] == 22
@@ -600,19 +602,54 @@ def test_no_orbit_basis_off_the_cubic_case():
 @pytest.mark.parametrize("d, q", [(79, 7), (257, 13), (985, 19), (142, 7), (254, 7)])
 def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
     # without the orbit basis the untwisted walks take the half walk in
-    # the reduced basis; what a walk keeps is ranked by its form and then
-    # by alpha itself, never by the walk's coordinates, so the
-    # certificate and every counter stay the same
-    order, B, hnf, *_ = _untwisted(d, q)
-    assert _orbit_basis(order, hnf) is not None
+    # the reduced basis; what a walk accepts is ranked by its form and
+    # then by alpha itself, never by the walk's coordinates, so the
+    # certificate, the tries, the swaps and the radii stay the same.  The
+    # counters of a round with a hit depend on where in the basis's walk
+    # order the hit falls, so they are compared on the full balls
+    order, B, hnf, base, red_gram = _untwisted(d, q)
+    gram, rows = _orbit_basis(order, hnf)
     schedule = RadiusSchedule(max_doublings=2)
     results = []
     for _ in range(2):
         counters = {}
-        results.append((certify_principal(B, order, schedule, counters), counters))
+        cert = certify_principal(B, order, schedule, counters)
+        results.append((cert, counters["tries"], counters["lll_swaps"],
+                        [r.radius_sq for r in counters["rounds"]]))
         monkeypatch.setattr(compositum, "_orbit_basis", lambda order, hnf: None)
     assert isinstance(results[0][0], PrincipalityCertificate)
     assert results[1] == results[0]
+    emb = _embeddings(order)
+    band = (B.norm / 4.0, B.norm * 4.0)
+    for radius_sq in results[0][3]:
+        half = _enumerate_short(red_gram, radius_sq, 10**9, (_band_rows(emb, base), *band))
+        orbit = _enumerate_short(gram, radius_sq, 10**9, (_band_rows(emb, rows), *band), 2)
+        assert (len(orbit[0]), *orbit[1:]) == (len(half[0]), *half[1:])
+
+
+def test_singular_twisted_gram_is_a_try_without_a_walk(monkeypatch):
+    # at 30 bits the rounded twisted rows of d = 223 lose a dimension in
+    # 2 of its 16 tries; each is skipped and still counted
+    L = make_field(223)
+    order = build_compositum(L, make_subfield(37, 3))
+    B = extend_ideal(prime_ideal_above(L, 37), order)
+    singular = []
+
+    def reduce(gram):
+        try:
+            return lll_reduce_gram(gram)
+        except ValueError:
+            singular.append(gram)
+            raise
+
+    monkeypatch.setattr(compositum, "TWIST_BITS", 30)
+    monkeypatch.setattr(compositum, "lll_reduce_gram", reduce)
+    out = certify_principal(B, order, RadiusSchedule(max_doublings=0))
+    assert singular
+    if isinstance(out, NotFound):
+        assert out.tries == 16
+    else:
+        assert verify_certificate(out, B, order)
 
 
 def test_schedule_defaults():
@@ -768,6 +805,69 @@ def test_enumerate_short_matches_per_leaf_walk(seed, n, radius_sq, band, cap):
     assert_within_budget(_enumerate_short(gram, radius_sq, cap, filt), full, cap)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    radius_sq=st.integers(0, 400),
+    band=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 500.0)),
+    cap=st.integers(1, 3000),
+    odds=st.integers(1, 6),
+)
+def test_enumerate_short_accepting_walk_keeps_the_best_hit(seed, n, radius_sq, band, cap, odds):
+    # accept holds on a fixed random set of orbits {v, -v}; after each
+    # accepted vector the ball shrinks to its form, ties kept
+    gram, rows = _random_walk_input(random.Random(seed), n)
+    filt = (rows, min(band), max(band))
+
+    def accepted(v):
+        return hash((seed, max(v, tuple(-x for x in v)))) % odds == 0
+
+    hits = []
+
+    def accept(v):
+        if accepted(v):
+            hits.append(v)
+            return True
+        return False
+
+    def rank(v):
+        return _qform(gram, v, v), v[::-1]
+
+    full_kept, total = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
+    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, 10**9, filt, 0, accept)
+    # the best accepted image is the full walk's best accepted vector
+    assert min((rank(u) for v in hits for u in _orbit(v, 0)), default=None) == min(
+        (rank(v) for v in full_kept if accepted(v)), default=None
+    )
+    assert not capped and 0 <= skipped <= visited <= total
+    assert set(kept) <= set(full_kept)
+    # an accept that never holds leaves the walk as it is
+    plain = _enumerate_short(gram, radius_sq, 10**9, filt)
+    assert _enumerate_short(gram, radius_sq, 10**9, filt, 0, lambda v: False) == plain
+    # and a capped accepting walk stops within one orbit of its cap
+    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt, 0, accept)
+    assert 0 <= skipped <= visited
+    assert set(kept) <= set(full_kept)
+    if capped:
+        assert cap <= visited < cap + 2
+    else:
+        assert visited < cap
+
+
+def test_enumerate_short_keeps_the_boundary_of_its_ball():
+    # on Z^3 the unit vectors lie on the sphere of radius 1, and below
+    # their nonzero coordinate on the edge of every level's interval; an
+    # accepted unit vector shrinks radius 2 to 1 and keeps the other five
+    unit = [[int(i == j) for j in range(3)] for i in range(3)]
+    filt = ([[float(x) for x in r] for r in unit], 0.0, 1.0)
+    units = sorted(tuple(s * x for x in r) for r in unit for s in (1, -1))
+    assert _enumerate_short(unit, 2, 100, filt)[1] == 18
+    for radius_sq, accept in ((1, None), (2, lambda v: True)):
+        kept, visited = _enumerate_short(unit, radius_sq, 100, filt, 0, accept)[:2]
+        assert (sorted(kept), visited) == (units, 6)
+
+
 def test_enumerate_short_cap_at_every_position():
     # every cap from 1 past the end, so some cap falls inside each
     # skippable row; the zero vector's row is always among them.  The
@@ -796,3 +896,18 @@ def test_enumerate_short_cap_at_every_position():
             assert_within_budget(got, full, cap, pairs)
     # the orbit walk kept vectors that tau moves
     assert sum(1 for x in kept if any(x[2:])) == 42
+    # an accepting orbit walk, on one orbit in three of what it keeps,
+    # keeps the same budget at every cap
+    hits = []
+
+    def accept(v):
+        if hash(min(_orbit(v, pairs))) % 3:
+            return False
+        hits.append(v)
+        return True
+
+    total = _enumerate_short(gram, radius_sq, 10**9, filt, pairs, accept)[1]
+    assert hits and total < full[1]
+    for cap in range(1, total + 2):
+        visited, capped = _enumerate_short(gram, radius_sq, cap, filt, pairs, accept)[1:3]
+        assert (cap <= visited < cap + 6) if capped else visited == total < cap
