@@ -12,48 +12,51 @@ multiplication of F.  The trace form is the Kronecker product of the
 norm goes through the tower N_M = N_F o N_{M/F}: a quadratic relative
 norm in F, then an e x e determinant.
 
-The generator search is lattice business.  An ideal of L extended to
-M is a full-rank sublattice in Hermite normal form.  Its Gram matrix
+The generator search is lattice business.  An ideal of L extended to M
+is a full-rank sublattice in Hermite normal form.  Its Gram matrix
 under the trace form (the T2 quadratic form, M is totally real) is
-reduced by all-integer LLL, and the lattice is walked twice in the
-reduced basis, at a T2 radius and at twice that radius.  The ideal
-comes from L, so Gal(M/L) = <tau> fixes it, and tau and -1 keep T2
-and |N|: when F is cubic the two walks run instead in an orbit basis
-b0, b1, b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2, with b0, b1 the
-Lagrange-Gauss reduced basis of I = Tr_{M/L}(I.O_M) under T2, take
-one vector of each orbit of six (of two in the plane of I) and expand
-what they keep.  Every other walk, each twisted try included, covers
-half the ball, the vectors whose last nonzero coordinate is positive,
-and mirrors what it keeps: y and -y have the same |N|, and the floats
-that judge -y are exactly those of y negated.  Each walk has a visit
-budget and stops when it is spent.  It tests the exact norm of each
-vector the band keeps as it meets it, and after a hit its ball shrinks
-to that hit's form, ties kept (Schnorr and Euchner), so the rest of the
-walk still meets every generator that ranks no worse.  The hits are
-ranked afterwards by the walk's form and then by the element itself in
-order coordinates, so neither the order of the walk nor its basis
-changes the generator.  A generator need not be short in T2: its
-conjugates can be far from balanced.  So the search goes on with
-seeded twisted tries, the Arakelov form of Buchmann's principal-ideal
-method: the lattice is walked under the
-trace form twisted by exp(2 s_j) on the j-th embedding, with s random
-in the trace-zero hyperplane, which rebalances a generator whose
+reduced by all-integer LLL, which returns its transform and the
+integral Gram-Schmidt data of the reduced basis, and the lattice is
+walked twice in the reduced basis, at a T2 radius and at twice that
+radius.  A walk reads only Gram-Schmidt data, never a Gram matrix, and
+no reduced Gram matrix is formed.  The ideal comes from L, so
+Gal(M/L) = <tau> fixes it, and tau and -1 keep T2 and |N|: when F is
+cubic the two walks run instead in an orbit basis b0, b1, b0 eta_1,
+b0 eta_2, b1 eta_1, b1 eta_2, with b0, b1 the Lagrange-Gauss reduced
+basis of I = Tr_{M/L}(I.O_M) under T2, take one vector of each orbit
+of six (of two in the plane of I) and expand what they keep.  Every other walk, each
+twisted try included, covers half the ball, the vectors whose last
+nonzero coordinate is positive, and mirrors what it keeps: y and -y
+have the same |N|, and the floats that judge -y are exactly those of y
+negated.  Each walk has a visit budget and stops when it is spent.  It
+tests the exact norm of each vector the band keeps as it meets it, and
+after a hit its ball shrinks to that hit's form, ties kept (Schnorr
+and Euchner), so the rest of the walk still meets every generator that
+ranks no worse.  The hits are ranked afterwards by the walk's form and
+then by the element itself in order coordinates, so neither the order
+of the walk nor its basis changes the generator.  A generator need not
+be short in T2: its conjugates can be far from balanced.  So the search
+goes on with seeded twisted tries, the Arakelov form of Buchmann's
+principal-ideal method: the lattice is walked under the trace form
+twisted by exp(2 s_j) on the j-th embedding, with s random in the
+trace-zero hyperplane, which rebalances a generator whose
 log-conjugates lie along s.  Each try twists the LLL-reduced basis of
 the trace form, not the HNF rows, so its LLL starts nearer a reduced
-basis and makes fewer swaps.  The twists come from a
-random.Random seeded by the order's discriminant and the ideal's HNF,
-one stream per ideal.  Every candidate is judged purely in integers:
-the norm is the tower norm above, and the containment witness is
-re-derived by back-substitution against the HNF rows.
-Floating-point embeddings, plain `math` floats built inside
+basis and makes fewer swaps.  A try whose Gram-Schmidt norms all exceed
+its radius has an empty ball; it is counted and not walked.  The twists
+come from a random.Random seeded by the order's discriminant and the
+ideal's HNF, one stream per ideal.  Every candidate is judged purely in
+integers: the norm is the tower norm above, and the containment
+witness is re-derived by back-substitution against the HNF
+rows.  Floating-point embeddings, plain `math` floats built inside
 `certify_principal`, only steer the search.  A band on the approximate
 norm pre-screens candidates, and a float lower bound on that norm lets
-whole leaf rows of the walk be counted unscanned.  In the twisted
-tries the floats also choose the reduced basis: the twisted conjugates
-are rounded to integers before LLL.  None of this carries a proven
-error bound, and it can cost a candidate but never a wrong answer,
-because every accept is exact.  The generator found is deterministic
-on one machine; with another libm's exp or cos it could differ.
+whole leaf rows of the walk be counted unscanned.  In the twisted tries
+the floats also choose the reduced basis: the twisted conjugates are
+rounded to integers before LLL.  None of this carries a proven error
+bound, and it can cost a candidate but never a wrong answer, because
+every accept is exact.  The generator found is deterministic on one
+machine; with another libm's exp or cos it could differ.
 """
 
 from __future__ import annotations
@@ -317,17 +320,22 @@ def _iroot(x: int, k: int) -> int:
     return r
 
 
-def _enumerate_short(gram, radius_sq, cap, filt, pairs=0, accept=None):
+def _enumerate_short(gso, radius_sq, cap, filt, pairs=0, accept=None):
     """Nonzero integer vectors y with y G y^t <= radius_sq, by
-    Fincke-Pohst depth-first descent.  Exact: the quadratic form is
-    split as sum_i z_i^2 / (d_i d_{i+1}) with the integral
-    Gram-Schmidt data of `gram_schmidt_int`, the remaining budget is
-    an integer at one common scale, and every per-coordinate interval
-    comes from an integer square root, never floats, so the walk
-    provably covers the ball (unless it stops at the visit cap).
+    Fincke-Pohst depth-first descent, for the Gram matrix G whose
+    integral Gram-Schmidt data gso = (d, lam) is given, as
+    `gram_schmidt_int` or `lll_reduce_gram` returns it; G itself is
+    never read.  Exact: the quadratic form is split as
+    sum_i z_i^2 / (d_i d_{i+1}), the remaining budget is an integer at
+    one common scale, and every per-coordinate interval comes from an
+    integer square root, never floats, so the walk provably covers the
+    ball (unless it stops at the visit cap).  When every
+    d_{i+1} > radius_sq * d_i, each squared Gram-Schmidt length exceeds
+    radius_sq, so the ball holds no nonzero vector and the walk visits
+    nothing.
 
-    filt is (rows, lo, hi): float embedding rows of the basis behind
-    the Gram, and a band for |prod_j <row_j, y>|.  Only vectors inside
+    filt is (rows, lo, hi): float embedding rows of the basis walked,
+    and a band for |prod_j <row_j, y>|.  Only vectors inside
     the band are kept.  At the last coordinate the product is
     prod_j (a_j + y_0 b_j) over an integer row of y_0; a row whose
     lower bound prod_j min |a_j + y_0 b_j| clears the band by a
@@ -358,9 +366,11 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0, accept=None):
     expanded to its 6 or 2 images, so an uncapped walk keeps and counts
     what the full walk does.
 
-    accept, when given, is called on each orbit representative the band
-    keeps.  When it returns True the ball shrinks to that vector's form,
-    ties kept: the rest of its leaf row stops at the new bound, every
+    accept, when given, is called on each orbit representative v the
+    band keeps, as accept(v, v G v^t); the form is exact, read off the
+    budget the walk has left at v, and holds for every image of v too.
+    When it returns True the ball shrinks to that vector's form, ties
+    kept: the rest of its leaf row stops at the new bound, every
     later node works in the smaller ball, and rows are counted unscanned
     in it.  So the walk still meets every vector of its order that
     ranks no worse than what it accepted, and accept should hold alike
@@ -380,8 +390,8 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0, accept=None):
     reports a stop at the cap, rows_skipped the leaf rows the bound
     counted unscanned.
     """
-    n = len(gram)
-    d, lam = gram_schmidt_int(gram)
+    d, lam = gso
+    n = len(d) - 1
     # budgets are scaled by `scale`; level i spends weight[i] * z_i^2
     scale = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
     weight = [scale // (d[i] * d[i + 1]) for i in range(n)]
@@ -454,11 +464,12 @@ def _enumerate_short(gram, radius_sq, cap, filt, pairs=0, accept=None):
                         v = tuple(y)
                         y[0] = 0
                         kept.append(v)
-                        if accept is not None and accept(v):
+                        z = yi * m - c
+                        left = budget - weight[0] * z * z
+                        if accept is not None and accept(v, radius_sq - left // scale):
                             # shrink the ball to v's form: the rest of
                             # the row keeps |m y_0 - c| <= |z|
-                            z = yi * m - c
-                            cut = budget - weight[0] * z * z
+                            cut = left
                             hi = (c + abs(z)) // m
                             if visited >= cap:
                                 capped = True
@@ -557,7 +568,10 @@ def _mat_vec(y, mat):
 
 def _band_rows(emb, basis):
     """Float conjugates of the basis rows: entry [j][i] is embedding j
-    of row i, each one math.fsum."""
+    of row i, each one math.fsum.  emb[j][c] is embedding j of the c-th
+    vector the rows are written in: of the order basis for `_embeddings`,
+    or of a lattice basis for its own output, so that
+    _band_rows(_band_rows(emb, rows), U) holds the conjugates of U rows."""
     n = len(basis)
     return [
         [math.fsum(emb[j][c] * basis[i][c] for c in range(n)) for i in range(n)]
@@ -639,21 +653,29 @@ def certify_principal(
     schedule.tries twisted tries: draw s from
     random.Random(repr((order.disc, B.hnf))), round the float conjugates
     of the untwisted reduced rows (not the HNF rows) scaled by exp(s_j)
-    to integers, LLL-reduce their Gram matrix and walk it, with a budget
-    of TRY_VISITS visits; a try whose rounded Gram is not positive
-    definite is counted and not walked.  Each walk keeps the vectors
-    whose approximate norm falls in a generous factor-4 band around the
-    ideal norm, computed from double-precision embeddings of the basis
-    walked (math.sqrt(disc(L)) and the float periods); the band is
-    untwisted, since a twist with sum s_j = 0 leaves the norm unchanged.
-    The walk accepts a kept vector x when the exact norm of alpha =
-    x.rows matches the ideal norm in absolute value, and its ball then
-    shrinks to x's form, ties kept.  The accepted vectors' images are
-    ranked by the walk's form, then by alpha in order coordinates,
-    compared from the last coordinate, so the rank of an element does
-    not depend on the basis walked; the first is the generator, and on a
-    walk that ends within its budget it is the whole ball's first.  The
-    accept decision is always exact, and containment is re-derived
+    to integers, LLL-reduce their Gram matrix and walk the Gram-Schmidt
+    data the LLL returns, with a budget of TRY_VISITS visits; no reduced
+    Gram matrix is formed.  A try whose rounded Gram is not positive
+    definite, or whose squared Gram-Schmidt lengths d_{i+1} / d_i all
+    exceed its radius, so that its ball is empty, is counted and not
+    walked.  A try's float rows are U times the float conjugates of the
+    untwisted reduced rows, and alpha is formed only for a vector the
+    walk accepts.
+
+    Each walk keeps the vectors whose approximate norm falls in a
+    generous factor-4 band around the ideal norm, computed from
+    double-precision embeddings of the basis walked (math.sqrt(disc(L))
+    and the float periods); the band is untwisted, since a twist with
+    sum s_j = 0 leaves the norm unchanged.  The walk accepts a kept
+    vector x when the exact norm of alpha = x.rows matches the ideal
+    norm in absolute value, and its ball then shrinks to x's form, ties
+    kept.  The accepted vectors' images are ranked by the walk's form,
+    which the walk reports with each accept and which an image shares
+    with its vector, then by alpha in order coordinates, compared from
+    the last coordinate, so the rank of an element does not depend on
+    the basis walked; the first is the generator, and on a walk that
+    ends within its budget it is the whole ball's first.  The accept
+    decision is always exact, and containment is re-derived
     independently for the certificate.
 
     Returns the certificate, or NotFound when the budget runs out; that
@@ -670,31 +692,38 @@ def certify_principal(
     tries = 0
     enumerated = 0
 
-    def walk(gram, rows, radius_sq, cap, pairs):
-        # the walk accepts the vectors of exact norm +-N(B), and its ball
-        # shrinks to each one's form; rank their images by that form, then
-        # by alpha read from the last coordinate, so alpha does not depend
-        # on the basis
+    def walk(gso, frows, mats, radius_sq, cap, pairs):
+        # frows: the float conjugates of the basis walked; the product of
+        # mats is that basis in order coordinates.  The walk accepts the
+        # vectors of exact norm +-N(B), and its ball shrinks to each one's
+        # form; rank their images by that form, which they share, then by
+        # alpha read from the last coordinate, so alpha does not depend on
+        # the basis
         nonlocal enumerated
         hits = []
 
-        def accept(x):
-            nval = exact_norm(_mat_vec(x, rows), order)
+        def lift(x):
+            for mat in mats:
+                x = _mat_vec(x, mat)
+            return x
+
+        def accept(x, form):
+            nval = exact_norm(lift(x), order)
             if abs(nval) != B.norm:
                 return False
-            hits.append((x, nval))
+            hits.append((form, x, nval))
             return True
 
-        filt = (_band_rows(emb, rows), B.norm / 4.0, B.norm * 4.0)
+        filt = (frows, B.norm / 4.0, B.norm * 4.0)
         kept, visited, capped, skipped = _enumerate_short(
-            gram, radius_sq, cap, filt, pairs, accept
+            gso, radius_sq, cap, filt, pairs, accept
         )
         enumerated += visited
         cert = None
         if hits:
             _, colex, nval = min(
-                (_qform(gram, u, u), _mat_vec(u, rows)[::-1], nval)
-                for x, nval in hits
+                (form, lift(u)[::-1], nval)
+                for form, x, nval in hits
                 for u in _orbit(x, pairs)
             )
             cert = _certificate(colex[::-1], nval, B, hnf, order)
@@ -710,15 +739,19 @@ def certify_principal(
     # one reduction: the half walk's basis off the cubic case, and the
     # basis every twisted try starts from
     gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
-    red_gram, U, lll_swaps = lll_reduce_gram(gram_i)
+    gso, U, lll_swaps = lll_reduce_gram(gram_i)
     base = [_mat_vec(U[i], hnf) for i in range(n)]
     det_gram = order.disc * B.norm * B.norm
     base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
     orbit = _orbit_basis(order, hnf)
-    gram, rows, pairs = (*orbit, 2) if orbit else (red_gram, base, 0)
+    if orbit:
+        gso, rows, pairs = gram_schmidt_int(orbit[0]), orbit[1], 2
+    else:
+        rows, pairs = base, 0
+    frows = _band_rows(emb, rows)
     rounds = []
     for radius_sq in (base_sq, 2 * base_sq):
-        cert, rnd, capped = walk(gram, rows, radius_sq, WALK_VISITS, pairs)
+        cert, rnd, capped = walk(gso, frows, (rows,), radius_sq, WALK_VISITS, pairs)
         rounds.append(rnd)
         if cert is not None:
             return done(cert)
@@ -733,13 +766,18 @@ def certify_principal(
         gram, k = _twisted_gram(conj, _twist(rng, n))
         radius_sq = twist_sq << 2 * k if k >= 0 else twist_sq >> -2 * k
         try:
-            red_gram, U, swaps = lll_reduce_gram(gram)
+            gso, U, swaps = lll_reduce_gram(gram)
         except ValueError:
             # rounding left the twisted rows dependent: nothing to walk
             continue
         lll_swaps += swaps
-        redrows = [_mat_vec(U[i], base) for i in range(n)]
-        cert = walk(red_gram, redrows, radius_sq, TRY_VISITS, 0)[0]
+        d = gso[0]
+        if all(d[i + 1] > radius_sq * d[i] for i in range(n)):
+            # every Gram-Schmidt length exceeds the radius: an empty ball
+            continue
+        # the reduced rows are U base: their floats are U conj, and only
+        # a hit's alpha is formed exactly
+        cert = walk(gso, _band_rows(conj, U), (U, base), radius_sq, TRY_VISITS, 0)[0]
         if cert is not None:
             return done(cert)
     return done(NotFound(tries, enumerated, False, tuple(rounds), lll_swaps))

@@ -191,69 +191,58 @@ def lll_reduce_gram(gram: list[list[int]]):
     """LLL-reduce a lattice given only its (integer, positive definite)
     Gram matrix.
 
-    Returns (new_gram, U, swaps) with U unimodular, new_gram = U G U^T
-    and swaps the number of basis exchanges made.  All-integer LLL
-    (Cohen, Alg. 2.6.7): the Gram matrix, U and the integral
-    Gram-Schmidt data of `gram_schmidt_int` are updated in place at
-    each size reduction and swap, so no step recomputes them.  Size
-    reduction rounds half up, and the output satisfies |mu_ij| <= 1/2
-    and the Lovasz condition with LLL_DELTA.  Its own output comes
-    back unchanged, with U = 1 and no swap: size reduction leaves every
-    mu_ij in [-1/2, 1/2), where rounding half up gives 0.
+    Returns ((d, lam), U, swaps): U is unimodular, (d, lam) is the
+    integral Gram-Schmidt data of `gram_schmidt_int` for the reduced
+    basis, that of U G U^T, and swaps counts the basis exchanges made.
+    All-integer LLL (Cohen, Alg. 2.6.7): U and (d, lam) are updated in
+    place at each size reduction and swap, and every decision reads
+    only d and lam, so no Gram matrix is kept and U G U^T is never
+    formed.  Size reduction rounds half up, and the output satisfies
+    |mu_ij| <= 1/2 and the Lovasz condition with LLL_DELTA.  Its own
+    output comes back unchanged, with U = 1 and no swap: size reduction
+    leaves every mu_ij in [-1/2, 1/2), where rounding half up gives 0.
     """
     n = len(gram)
-    g = [list(r) for r in gram]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    d, lam = gram_schmidt_int(g)
+    d, lam = gram_schmidt_int(gram)
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def reduce(k, l):
         # b_k <- b_k - q b_l with q the nearest integer to mu_kl
         dl = d[l + 1]
-        q = (2 * lam[k][l] + dl) // (2 * dl)
-        if not q:
-            return
-        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-        gk, gl = g[k], g[l]
-        for j in range(n):
-            gk[j] -= q * gl[j]
-        gk[k] -= q * gk[l]
-        for j in range(n):
-            g[j][k] = gk[j]
-        lk, ll = lam[k], lam[l]
-        lk[l] -= q * dl
-        for i in range(l):
-            lk[i] -= q * ll[i]
-
-    def swap(k):
-        # exchange b_{k-1} and b_k
-        u[k - 1], u[k] = u[k], u[k - 1]
-        g[k - 1], g[k] = g[k], g[k - 1]
-        for row in g:
-            row[k - 1], row[k] = row[k], row[k - 1]
-        lk, lk1 = lam[k], lam[k - 1]
-        for j in range(k - 1):
-            lk[j], lk1[j] = lk1[j], lk[j]
-        lm = lk[k - 1]
-        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
-        for i in range(k + 1, n):
-            li = lam[i]
-            t = li[k]
-            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
-            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
-        d[k] = b
+        lk = lam[k]
+        q = (2 * lk[l] + dl) // (2 * dl)
+        if q:
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            ll = lam[l]
+            lk[l] -= q * dl
+            for i in range(l):
+                lk[i] -= q * ll[i]
 
     k = 1
     swaps = 0
     while k < n:
         reduce(k, k - 1)
-        lm = lam[k][k - 1]
-        if den * (d[k + 1] * d[k - 1] + lm * lm) < num * d[k] * d[k]:
-            swap(k)
-            swaps += 1
-            k = max(k - 1, 1)
-        else:
+        lk, lk1 = lam[k], lam[k - 1]
+        lm = lk[k - 1]
+        dk = d[k]
+        if den * (d[k + 1] * d[k - 1] + lm * lm) >= num * dk * dk:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return g, u, swaps
+            continue
+        # exchange b_{k-1} and b_k
+        u[k - 1], u[k] = u[k], u[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        dk1 = d[k + 1]
+        b = (d[k - 1] * dk1 + lm * lm) // dk
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - lm * t) // dk
+            li[k - 1] = (b * t + lm * li[k]) // dk1
+        d[k] = b
+        swaps += 1
+        k = max(k - 1, 1)
+    return (d, lam), u, swaps

@@ -304,25 +304,26 @@ def test_lll_transform_is_unimodular():
             [sum(basis[r][k] * basis[c][k] for k in range(n)) for c in range(n)]
             for r in range(n)
         ]
-        red, U, _ = lll_reduce_gram([row[:] for row in gram])
+        gso, U, _ = lll_reduce_gram([row[:] for row in gram])
         assert abs(det_bareiss([list(r) for r in U])) == 1
-        recomputed = [
+        red = [
             [
                 sum(U[r][a] * gram[a][b] * U[c][b] for a in range(n) for b in range(n))
                 for c in range(n)
             ]
             for r in range(n)
         ]
-        assert [list(r) for r in red] == recomputed
-        # the output is LLL-reduced: size-reduced, and Lovasz at 99/100
+        # the Gram-Schmidt data it returns is that of the reduced basis
+        assert gso == gram_schmidt_int(red)
+        # the reduced basis is LLL-reduced: size-reduced, and Lovasz at 99/100
         mu, b = fraction_gso(red)
         for i in range(n):
             assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
         for k in range(1, n):
             assert b[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * b[k - 1]
-        # and reducing it again changes nothing: U = 1 and no swap
+        # and reducing it again changes nothing: U = 1, no swap, same data
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert lll_reduce_gram(red) == (red, identity, 0)
+        assert lll_reduce_gram(red) == (gso, identity, 0)
 
 
 def test_iroot_brute():
@@ -524,13 +525,14 @@ def test_twisted_try_certificates_are_pinned(d, alpha, tries):
 
 def _untwisted(d, q, e=3):
     """The ideal of the prime above q and its untwisted LLL reduction,
-    as certify_principal builds them."""
+    as certify_principal builds them: the reduced rows and their
+    Gram-Schmidt data."""
     order = order_of(d, q, e)
     B = extend_ideal(prime_ideal_above(make_field(d), q), order)
     hnf = [list(r) for r in B.hnf]
-    red_gram, U, _ = lll_reduce_gram([[_qform(order.gram, r, c) for c in hnf] for r in hnf])
+    gso, U, _ = lll_reduce_gram([[_qform(order.gram, r, c) for c in hnf] for r in hnf])
     base = [_mat_vec(u, hnf) for u in U]
-    return order, B, hnf, base, red_gram
+    return order, B, hnf, base, gso
 
 
 def tau(order, x):
@@ -544,7 +546,7 @@ ORBIT_FIELDS = ((79, 7), (257, 13), (985, 19), (730, 79), (1171, 7))
 
 @pytest.mark.parametrize("d, q", ORBIT_FIELDS)
 def test_orbit_basis_of_the_ideal_lattice(d, q):
-    order, B, hnf, base, red_gram = _untwisted(d, q)
+    order, B, hnf, base, gso = _untwisted(d, q)
     gram, rows = _orbit_basis(order, hnf)
     b0, b1 = rows[:2]
     # b0 and b1 are Lagrange-Gauss reduced under T2, and b0 is the
@@ -555,7 +557,7 @@ def test_orbit_basis_of_the_ideal_lattice(d, q):
     assert b0 == base[0]
     assert tau(order, b0) == b0 and tau(order, b1) == b1
     assert all(_solve_containment(hnf, r) is not None for r in rows)
-    assert det_bareiss(gram) == det_bareiss(red_gram) == order.disc * B.norm**2
+    assert det_bareiss(gram) == gso[0][-1] == order.disc * B.norm**2
     assert gram == [[_qform(order.gram, r, t) for t in rows] for r in rows]
     # tau on the rows: b eta_1 -> b eta_2 -> b eta_0 = -b - b eta_1 - b eta_2
     unit = [[int(j == i) for j in range(6)] for i in range(6)]
@@ -575,7 +577,7 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     # compared as elements of the order, at both untwisted radii;
     # pair_kept counts the kept vectors that tau moves, whose images
     # the walk adds itself
-    order, B, hnf, base, red_gram = _untwisted(d, q)
+    order, B, hnf, base, gso = _untwisted(d, q)
     gram, rows = _orbit_basis(order, hnf)
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
@@ -583,8 +585,10 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     base_sq = n * 2 * (_iroot(order.disc * B.norm**2, n) + 1)
     moved = 0
     for radius_sq in (base_sq, 2 * base_sq):
-        half = _enumerate_short(red_gram, radius_sq, 10**9, (_band_rows(emb, base), *band))
-        orbit = _enumerate_short(gram, radius_sq, 10**9, (_band_rows(emb, rows), *band), 2)
+        half = _enumerate_short(gso, radius_sq, 10**9, (_band_rows(emb, base), *band))
+        orbit = _enumerate_short(
+            gram_schmidt_int(gram), radius_sq, 10**9, (_band_rows(emb, rows), *band), 2
+        )
         assert orbit[1:] == half[1:]
         assert sorted(tuple(_mat_vec(x, rows)) for x in orbit[0]) == sorted(
             tuple(_mat_vec(y, base)) for y in half[0]
@@ -607,7 +611,7 @@ def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
     # certificate, the tries, the swaps and the radii stay the same.  The
     # counters of a round with a hit depend on where in the basis's walk
     # order the hit falls, so they are compared on the full balls
-    order, B, hnf, base, red_gram = _untwisted(d, q)
+    order, B, hnf, base, gso = _untwisted(d, q)
     gram, rows = _orbit_basis(order, hnf)
     schedule = RadiusSchedule(max_doublings=2)
     results = []
@@ -622,8 +626,10 @@ def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
     for radius_sq in results[0][3]:
-        half = _enumerate_short(red_gram, radius_sq, 10**9, (_band_rows(emb, base), *band))
-        orbit = _enumerate_short(gram, radius_sq, 10**9, (_band_rows(emb, rows), *band), 2)
+        half = _enumerate_short(gso, radius_sq, 10**9, (_band_rows(emb, base), *band))
+        orbit = _enumerate_short(
+            gram_schmidt_int(gram), radius_sq, 10**9, (_band_rows(emb, rows), *band), 2
+        )
         assert (len(orbit[0]), *orbit[1:]) == (len(half[0]), *half[1:])
 
 
@@ -650,6 +656,35 @@ def test_singular_twisted_gram_is_a_try_without_a_walk(monkeypatch):
         assert out.tries == 16
     else:
         assert verify_certificate(out, B, order)
+
+
+def test_tries_with_an_empty_ball_are_counted_and_not_walked(monkeypatch):
+    # d = 730 at q = 79 is not found by two untwisted walks and 64
+    # twisted tries; 36 of the tries have every Gram-Schmidt length past
+    # their radius, and only the other 28 are walked.  The counters are
+    # those of walking every try, since an empty ball moves none of them
+    L = make_field(730)
+    order = build_compositum(L, make_subfield(79, 3))
+    B = extend_ideal(prime_ideal_above(L, 79), order)
+    walks = []
+
+    def enumerate_short(*args, **kwargs):
+        walks.append(args[1])
+        return _enumerate_short(*args, **kwargs)
+
+    monkeypatch.setattr(compositum, "_enumerate_short", enumerate_short)
+    out = certify_principal(B, order, RadiusSchedule(max_doublings=2))
+    assert out == NotFound(
+        tries=64,
+        enumerated=79288,
+        capped=False,
+        rounds=(
+            EnumerationRound(943164, 9168, 0, 698),
+            EnumerationRound(1886328, 70038, 0, 3636),
+        ),
+        lll_swaps=2459,
+    )
+    assert len(walks) == 2 + 28
 
 
 def test_schedule_defaults():
@@ -802,7 +837,7 @@ def test_enumerate_short_matches_per_leaf_walk(seed, n, radius_sq, band, cap):
     gram, rows = _random_walk_input(random.Random(seed), n)
     filt = (rows, min(band), max(band))
     full = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
-    assert_within_budget(_enumerate_short(gram, radius_sq, cap, filt), full, cap)
+    assert_within_budget(_enumerate_short(gram_schmidt_int(gram), radius_sq, cap, filt), full, cap)
 
 
 @settings(max_examples=100, deadline=None)
@@ -825,7 +860,9 @@ def test_enumerate_short_accepting_walk_keeps_the_best_hit(seed, n, radius_sq, b
 
     hits = []
 
-    def accept(v):
+    def accept(v, form):
+        # the walk hands over each kept vector's exact form
+        assert form == _qform(gram, v, v)
         if accepted(v):
             hits.append(v)
             return True
@@ -834,8 +871,9 @@ def test_enumerate_short_accepting_walk_keeps_the_best_hit(seed, n, radius_sq, b
     def rank(v):
         return _qform(gram, v, v), v[::-1]
 
+    gso = gram_schmidt_int(gram)
     full_kept, total = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
-    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, 10**9, filt, 0, accept)
+    kept, visited, capped, skipped = _enumerate_short(gso, radius_sq, 10**9, filt, 0, accept)
     # the best accepted image is the full walk's best accepted vector
     assert min((rank(u) for v in hits for u in _orbit(v, 0)), default=None) == min(
         (rank(v) for v in full_kept if accepted(v)), default=None
@@ -843,10 +881,10 @@ def test_enumerate_short_accepting_walk_keeps_the_best_hit(seed, n, radius_sq, b
     assert not capped and 0 <= skipped <= visited <= total
     assert set(kept) <= set(full_kept)
     # an accept that never holds leaves the walk as it is
-    plain = _enumerate_short(gram, radius_sq, 10**9, filt)
-    assert _enumerate_short(gram, radius_sq, 10**9, filt, 0, lambda v: False) == plain
+    plain = _enumerate_short(gso, radius_sq, 10**9, filt)
+    assert _enumerate_short(gso, radius_sq, 10**9, filt, 0, lambda v, form: False) == plain
     # and a capped accepting walk stops within one orbit of its cap
-    kept, visited, capped, skipped = _enumerate_short(gram, radius_sq, cap, filt, 0, accept)
+    kept, visited, capped, skipped = _enumerate_short(gso, radius_sq, cap, filt, 0, accept)
     assert 0 <= skipped <= visited
     assert set(kept) <= set(full_kept)
     if capped:
@@ -855,16 +893,36 @@ def test_enumerate_short_accepting_walk_keeps_the_best_hit(seed, n, radius_sq, b
         assert visited < cap
 
 
+def test_enumerate_short_visits_nothing_when_every_gram_schmidt_length_is_past_its_radius():
+    # d_{i+1} > radius_sq * d_i for every i: each squared Gram-Schmidt
+    # length exceeds radius_sq, so the ball holds no nonzero vector and
+    # the walk, with or without accept, moves no counter; that is why a
+    # twisted try with such a ball need not be walked
+    rng = random.Random(2026)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        gram, rows = _random_walk_input(rng, n)
+        d, lam = gso = gram_schmidt_int(gram)
+        radius_sq = rng.randint(0, min((d[i + 1] - 1) // d[i] for i in range(n)))
+        assert all(d[i + 1] > radius_sq * d[i] for i in range(n))
+        filt = (rows, 0.0, 1e300)
+        assert reference_enumerate(gram, radius_sq, 10**9, filt)[:2] == ([], 0)
+        for accept in (None, lambda v, form: True):
+            got = _enumerate_short(gso, radius_sq, rng.randint(1, 5000), filt, 0, accept)
+            assert got == ([], 0, False, 0)
+
+
 def test_enumerate_short_keeps_the_boundary_of_its_ball():
     # on Z^3 the unit vectors lie on the sphere of radius 1, and below
     # their nonzero coordinate on the edge of every level's interval; an
     # accepted unit vector shrinks radius 2 to 1 and keeps the other five
     unit = [[int(i == j) for j in range(3)] for i in range(3)]
+    gso = gram_schmidt_int(unit)
     filt = ([[float(x) for x in r] for r in unit], 0.0, 1.0)
     units = sorted(tuple(s * x for x in r) for r in unit for s in (1, -1))
-    assert _enumerate_short(unit, 2, 100, filt)[1] == 18
-    for radius_sq, accept in ((1, None), (2, lambda v: True)):
-        kept, visited = _enumerate_short(unit, radius_sq, 100, filt, 0, accept)[:2]
+    assert _enumerate_short(gso, 2, 100, filt)[1] == 18
+    for radius_sq, accept in ((1, None), (2, lambda v, form: True)):
+        kept, visited = _enumerate_short(gso, radius_sq, 100, filt, 0, accept)[:2]
         assert (sorted(kept), visited) == (units, 6)
 
 
@@ -887,12 +945,13 @@ def test_enumerate_short_cap_at_every_position():
     filt = (_band_rows(_embeddings(order), rows), B.norm, B.norm * 64.0)
     walks.append((gram, 2736, filt, 2))
     for gram, radius_sq, filt, pairs in walks:
+        gso = gram_schmidt_int(gram)
         full = reference_enumerate(gram, radius_sq, 10**9, filt)[:2]
-        kept, total, _, skipped = _enumerate_short(gram, radius_sq, 10**9, filt, pairs)
+        kept, total, _, skipped = _enumerate_short(gso, radius_sq, 10**9, filt, pairs)
         assert skipped > 0
         assert total == full[1]
         for cap in range(1, total + 2):
-            got = _enumerate_short(gram, radius_sq, cap, filt, pairs)
+            got = _enumerate_short(gso, radius_sq, cap, filt, pairs)
             assert_within_budget(got, full, cap, pairs)
     # the orbit walk kept vectors that tau moves
     assert sum(1 for x in kept if any(x[2:])) == 42
@@ -900,14 +959,14 @@ def test_enumerate_short_cap_at_every_position():
     # keeps the same budget at every cap
     hits = []
 
-    def accept(v):
+    def accept(v, form):
         if hash(min(_orbit(v, pairs))) % 3:
             return False
         hits.append(v)
         return True
 
-    total = _enumerate_short(gram, radius_sq, 10**9, filt, pairs, accept)[1]
+    total = _enumerate_short(gso, radius_sq, 10**9, filt, pairs, accept)[1]
     assert hits and total < full[1]
     for cap in range(1, total + 2):
-        visited, capped = _enumerate_short(gram, radius_sq, cap, filt, pairs, accept)[1:3]
+        visited, capped = _enumerate_short(gso, radius_sq, cap, filt, pairs, accept)[1:3]
         assert (cap <= visited < cap + 6) if capped else visited == total < cap
