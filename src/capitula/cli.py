@@ -71,7 +71,7 @@ REVERIFY_INT_BITS = 1024
 # fields a survey keeps in flight per worker: most fields cost one class
 # group, the few with p | h cost a certify on top, and with 2 per worker
 # the other workers idle behind such a field (survey --dmax 2000 --p 3
-# --max-doublings 0 --jobs 2 took 3.6 s instead of 2.2 s on 2 vCPUs)
+# --max-doublings 0 --jobs 2 took 3.3 s instead of 1.9 s on 2 vCPUs)
 SURVEY_AHEAD = 64
 
 

@@ -1,8 +1,9 @@
 """Small exact integer linear algebra: HNF, SNF, determinants,
 integral Gram-Schmidt and LLL.
 
-The Smith form runs on A stacked over the identity, so its column
-transform V is read off the bottom rows and no inverse is kept.
+The Smith form runs on a square A stacked over the identity, with the
+entries of A reduced modulo its determinant, so its column transform V
+is read off the bottom rows and no inverse is kept.
 
 All matrices are lists of row lists.  Dimensions here are tiny (a few
 dozen at most), so the implementations favour clarity over asymptotics;
@@ -13,6 +14,7 @@ lambda_ij = d_j mu_ij), so every division is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # the Lovasz parameter of lll_reduce_gram
@@ -79,23 +81,29 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def smith_normal_form(a: list[list[int]], ncols: int):
-    """Smith normal form with its column transform (Cohen, Alg. 2.4.14).
+def smith_normal_form(a: list[list[int]]):
+    """Smith normal form of a square, full-rank integer matrix, with its
+    column transform (Cohen, Alg. 2.4.14, modulo the determinant).
 
     Returns (divisors, V) where divisors is the full diagonal
-    d_1 | d_2 | ... | d_ncols (ones included, zeros impossible here
-    because callers always pass a full-rank relation lattice; with
-    ncols = 0 the matrix and the diagonal are empty), and V is the
-    unimodular column transform: the row lattice of A*V is that of
-    diag(divisors).  The reduction runs on A stacked over the
-    ncols x ncols identity.  Column operations act on every row, so the
-    bottom ncols rows end as V; row operations touch only the top m
-    rows, the relations.
+    d_1 | d_2 | ... | d_n (ones included; the empty matrix has an empty
+    diagonal), and V is the unimodular column transform: the row lattice
+    of A*V is that of diag(divisors).  The reduction runs on A stacked
+    over the n x n identity.  Column operations act on every row, so the
+    bottom n rows end as V; row operations touch only the top n rows.
+
+    The row lattice holds R Z^n for R = |det A|, so the trailing block
+    is reduced mod R before each pivot search, which keeps its entries
+    from exploding; V is exact and never reduced.  Once row and column
+    t are cleared with pivot a, d_t = gcd(a, R), and R becomes R / d_t,
+    the order of the group the trailing block presents.
     """
-    m = len(a)
-    if m < ncols:
-        raise ValueError("fewer relations than columns")
-    w = [list(r) for r in a] + [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    n = len(a)
+    mod = abs(det_bareiss(a))
+    if not mod:
+        raise ValueError("matrix is not full rank")
+    w = [list(r) for r in a] + [[int(i == j) for j in range(n)] for i in range(n)]
+    divisors = []
 
     def addmul_row(dst, src, c):
         w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
@@ -105,31 +113,29 @@ def smith_normal_form(a: list[list[int]], ncols: int):
             r[i], r[j] = r[j], r[i]
 
     t = 0
-    while t < min(m, ncols):
-        # locate the smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, ncols):
-                if w[i][j] and (best is None or abs(w[i][j]) < best[0]):
-                    best = (abs(w[i][j]), i, j)
-        if best is None:
-            raise ValueError("relation lattice is not full rank")
-        _, bi, bj = best
+    while t < n:
+        for r in w[t:n]:
+            r[t:] = [x % mod for x in r[t:]]
+        # the smallest nonzero entry of the trailing block is the pivot; an
+        # all-zero block stands for mod Z^(n - t), with pivot mod
+        _, bi, bj = min(
+            ((w[i][j], i, j) for i in range(t, n) for j in range(t, n) if w[i][j]), default=(mod, t, t)
+        )
         w[t], w[bi] = w[bi], w[t]
-        if bj != t:
-            swap_cols(t, bj)
+        swap_cols(t, bj)
+        w[t][t] = w[t][t] or mod
         # clear row and column t; restart whenever a remainder shrinks the pivot
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, m):
+            for i in range(t + 1, n):
                 if w[i][t]:
                     q = w[i][t] // w[t][t]
                     addmul_row(i, t, -q)
                     if w[i][t]:
                         w[t], w[i] = w[i], w[t]
                         dirty = True
-            for j in range(t + 1, ncols):
+            for j in range(t + 1, n):
                 if w[t][j]:
                     q = w[t][j] // w[t][t]
                     for r in w:
@@ -137,25 +143,16 @@ def smith_normal_form(a: list[list[int]], ncols: int):
                     if w[t][j]:
                         swap_cols(t, j)
                         dirty = True
-        # divisibility: pivot must divide the whole trailing block
+        # divisibility: the pivot must divide the whole trailing block mod R
         piv = w[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, ncols):
-                if w[i][j] % piv:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            addmul_row(t, offender[0], 1)
+        offender = next((i for i in range(t + 1, n) for j in range(t + 1, n) if w[i][j] % mod % piv), None)
+        if offender is not None:
+            addmul_row(t, offender, 1)
             continue
-        if piv < 0:
-            for r in w:
-                r[t] = -r[t]
+        divisors.append(math.gcd(piv, mod))
+        mod //= divisors[-1]
         t += 1
-    # rows below ncols must have been annihilated for a full-rank lattice
-    return [w[i][i] for i in range(ncols)], w[m:]
+    return divisors, w[n:]
 
 
 def gram_schmidt_int(gram: list[list[int]]):

@@ -12,15 +12,17 @@ that coordinate: the ideal is [a, (B + sqrt(D))/2] and validity means
 B^2 = D (mod 4a).  Two ideals multiply in closed form by Dirichlet
 composition of forms, _compose, with no lattice reduction.
 
-Everything is exact.  Class groups are found by a closure over the
-classes of the factor-base primes below the Minkowski bound, with
-equivalence decided by reduction cycles, and the relation lattice is
-put in Smith normal form.  Its transform V gives every class its
-coordinates, and the generators are the closure's own representatives
-of the unit-vector classes.  No analytic input, no GRH.  One walk,
-_walk, carries the principal multiplier along the reduction steps in
-integral w-coordinates; is_principal reads a generator off it and
-fundamental_unit reads the unit off the cycle of the unit ideal.
+Everything is exact.  Class groups are found by growing one subgroup
+over the classes of the factor-base primes below the Minkowski bound,
+with equivalence decided by reduction cycles: each prime outside the
+subgroup adjoins its cosets and one relation, and the square,
+lower-triangular relation matrix is put in Smith normal form.  Its
+transform V gives every class its coordinates, and the generators are
+the registered representatives of the unit-vector classes.  No
+analytic input, no GRH.  One walk, _walk, carries the principal
+multiplier along the reduction steps in integral w-coordinates;
+is_principal reads a generator off it and fundamental_unit reads the
+unit off the cycle of the unit ideal.
 """
 
 from __future__ import annotations
@@ -393,8 +395,8 @@ class ClassGroup:
             raise ValueError("ideal from a different field")
         f = _reduce_raw(self.field, (ideal.a, ideal.bform))
         cid = self._id_of.get(f)
-        if cid is None:  # pragma: no cover - closure covers the whole group
-            raise ConsistencyError("reduced ideal missed by the class closure")
+        if cid is None:  # pragma: no cover - the factor base generates the group
+            raise ConsistencyError("reduced ideal missed by the class group")
         return self._class_coords[cid]
 
     def identity_coords(self) -> tuple[int, ...]:
@@ -411,74 +413,75 @@ class ClassGroup:
         w = sum(arith.valuation(m, p) for m in divisors)
         gen = self.identity_coords()
         if divisors:
-            # generator of the largest cyclic factor of the p-part
-            idx = len(self.elementary_divisors) - 1
-            m = self.elementary_divisors[idx]
-            gen = tuple(
-                (m // (p ** arith.valuation(m, p)) if i == idx else 0) for i in range(len(self.elementary_divisors))
-            )
+            # a class of the largest p-power order generates a cyclic factor
+            # of the p-part of the largest order; of these classes, take the
+            # one whose reduced cycle holds the least (a, B), a choice that
+            # does not depend on the transform V
+            top = {c for c in self._class_coords if self.order_of(c) == divisors[-1]}
+            least = min(f for f, cid in self._id_of.items() if self._class_coords[cid] in top)
+            gen = self._class_coords[self._id_of[least]]
         return SylowData(p=p, order=p**w, divisors=divisors, generator_coords=gen, w=w)
 
 
 @lru_cache(maxsize=arith.CACHE_MAXSIZE)
 def class_group(L: QuadraticField) -> ClassGroup:
-    """Class group by factor-base closure plus Smith normal form.
+    """Class group by one growing subgroup plus Smith normal form.
 
     Prime ideals with norm up to the Minkowski bound sqrt(D)/2 generate
-    the group; a closure over their products, with reduction cycles as
-    the equality test, enumerates every class, each with a reduced
-    representative and an exponent vector over the factor base, and
-    yields a generating set of relations.  The Smith form of those
-    relations gives the invariant factors d_j and the transform V; a
-    class has coordinates vec V mod d_j.  No two classes may share
-    their coordinates.  Generator j is the representative the closure
-    registered for the class whose coordinates are the j-th unit
+    the group.  They are taken in turn into a subgroup H, with reduction
+    cycles as the equality test: a prime whose class H holds is skipped;
+    otherwise it becomes generator g_j, and its cosets g H, g^2 H, ...
+    are registered until the reduced g^o lands in H, which gives the one
+    relation o e_j - vec(g^o) (baby-step subgroup growth, Buchmann,
+    Jacobson and Teske, Math. Comp. 66, 1997).  Every class is
+    registered once, with a reduced representative and an exponent
+    vector over the adjoined generators.  The relation matrix is square
+    and lower triangular, its diagonal product is h, and it has at most
+    log2 h columns.  Its Smith form gives the invariant factors d_j and
+    the transform V; a class has coordinates vec V mod d_j.  No two
+    classes may share their coordinates.  Generator j is the registered
+    representative of the class whose coordinates are the j-th unit
     vector, and its order is verified by explicit powering.
     """
     D = L.disc
     fb_primes = [p for p in arith.iter_primes(math.isqrt(D) // 2) if arith.kronecker(D, p) != -1]
-    fb = [_prime_above_any(L, p) for p in fb_primes]
-    k = len(fb)
 
-    unit_red = _reduce_raw(L, (1, L.s))
     id_of: dict[tuple[int, int], int] = {}
     class_vecs: list[tuple[int, ...]] = []
     class_reps: list[tuple[int, int]] = []
 
     def register(f_reduced, vec):
-        cid = len(class_vecs)
         for g in _cycle_raw(L, f_reduced):
-            id_of[g] = cid
+            id_of[g] = len(class_vecs)
         class_vecs.append(vec)
         class_reps.append(f_reduced)
-        return cid
 
-    register(unit_red, (0,) * k)
-    relations: set[tuple[int, ...]] = set()
-    queue = [0]
-    while queue:
-        cid = queue.pop()
-        vec = class_vecs[cid]
-        for i, g in enumerate(fb):
-            red = _reduce_raw(L, _compose(L, class_reps[cid], g)[0])
-            step = tuple(v + (1 if j == i else 0) for j, v in enumerate(vec))
-            known = id_of.get(red)
-            if known is None:
-                queue.append(register(red, step))
-            else:
-                rel = tuple(x - y for x, y in zip(step, class_vecs[known]))
-                if any(rel):
-                    relations.add(rel)
+    register(_reduce_raw(L, (1, L.s)), ())
+    relations = []
+    for p in fb_primes:
+        g = _reduce_raw(L, _prime_above_any(L, p))
+        if g in id_of:
+            continue
+        # vectors of H over g_0, ..., g_{j-1}, zero-padded; the coset g^o H
+        # extends them by o
+        j, size, power, o = len(relations), len(class_vecs), g, 1
+        class_vecs[:] = [vec + (0,) * (j - len(vec)) for vec in class_vecs]
+        while power not in id_of:
+            for rep, vec in zip(class_reps[:size], class_vecs[:size]):
+                register(_reduce_raw(L, _compose(L, rep, power)[0]), vec + (o,))
+            power, o = _reduce_raw(L, _compose(L, power, g)[0]), o + 1
+        relations.append(tuple(-x for x in class_vecs[id_of[power]]) + (o,))
+    k = len(relations)
     h = len(class_vecs)
 
-    divisors_full, v_mat = smith_normal_form(sorted(relations), k)
+    divisors_full, v_mat = smith_normal_form([rel + (0,) * (k - len(rel)) for rel in relations])
     if math.prod(divisors_full) != h:
         raise ConsistencyError("relation lattice disagrees with class count")
 
     keep = [j for j, m in enumerate(divisors_full) if m > 1]
     divisors = tuple(divisors_full[j] for j in keep)
     coords = [
-        tuple(sum(vec[i] * v_mat[i][j] for i in range(k)) % divisors_full[j] for j in keep)
+        tuple(sum(x * v_mat[i][j] for i, x in enumerate(vec)) % divisors_full[j] for j in keep)
         for vec in class_vecs
     ]
     cid_of = {c: cid for cid, c in enumerate(coords)}

@@ -29,7 +29,11 @@ from capitula.errors import ConsistencyError
 from capitula.quadfield import class_group, make_field
 
 
-TARGET_79 = (1,)  # generator of the 3-part of Cl(Q(sqrt(79))), h = 3
+# the canonical generator of the 3-part of Cl(Q(sqrt(79))), h = 3: the
+# class of the prime above 3, [3, (2 + sqrt(316))/2], the least reduced
+# ideal off the principal cycle; the primes above 7 and 13 lie in its
+# inverse
+TARGET_79 = (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +71,8 @@ def test_conditions_at_q7_all_pass():
     assert cand.witness.symbol == ResidueSymbol(
         base=2, modulus=7, degree=3, value=4, order=3
     )
-    assert cand.witness.class_coords == TARGET_79
-    assert cand.matched_inverse is False
+    assert cand.witness.class_coords == (2,)
+    assert cand.matched_inverse is True
 
 
 def test_conditions_at_q13_all_pass():
@@ -79,7 +83,8 @@ def test_conditions_at_q13_all_pass():
         base=11, modulus=13, degree=3, value=3, order=3
     )
     assert cand.witness.symbol.order == 3
-    assert cand.witness.class_coords == (1,)
+    assert cand.witness.class_coords == (2,)
+    assert cand.matched_inverse is True
 
 
 def test_conditions_at_q11_fail_without_witness():
@@ -98,7 +103,7 @@ def test_conditions_deeper_level_fails_congruence_only():
     cand = check_conditions(make_field(79), 3, 2, 13, TARGET_79)
     assert cand.flags() == (True, False, True, True, False, True)
     assert cand.witness.symbol == ResidueSymbol(base=11, modulus=13, degree=3, value=3, order=3)
-    assert cand.witness.class_coords == (1,)
+    assert cand.witness.class_coords == (2,)
 
 
 def test_degenerate_q_rejected():

@@ -83,7 +83,8 @@ def test_search_79_finds_7(runner, tmp_path):
     assert rec["target_class"] == [1]
     assert rec["witness"]["symbol"]["order"] == 3
     assert rec["witness"]["root"] == 3
-    assert rec["matched_inverse"] is False
+    assert rec["witness"]["class_coords"] == [2]
+    assert rec["matched_inverse"] is True
     assert rec["class_group"] == {"order": 3, "elementary_divisors": [3]}
 
 
@@ -726,8 +727,8 @@ def test_unwritable_out_exits_2_before_any_class_group(runner, monkeypatch, tmp_
 def test_tripped_class_group_cross_check_exits_3(runner, monkeypatch):
     real = quadfield.smith_normal_form
 
-    def wrong_divisors(rows, k):
-        divisors, v_mat = real(rows, k)
+    def wrong_divisors(rows):
+        divisors, v_mat = real(rows)
         return [1] * len(divisors), v_mat
 
     monkeypatch.setattr(quadfield, "smith_normal_form", wrong_divisors)

@@ -2,8 +2,11 @@
 
 The class-number oracle counts cycles of reduced ideals under the
 continued-fraction map, written here from scratch; the library computes
-the same number through factor-base closure and Smith normal form, so
-agreement is a genuine two-route check.  The unit oracle combines a
+the same number by growing one subgroup over the factor base, so
+agreement is a genuine two-route check.  The class-group oracle is the
+closure the library used before: every class composed with every
+factor-base prime, h k products, whose relations give the order and
+the elementary divisors a second way.  The unit oracle combines a
 literal Pell scan (small solutions), an exact not-a-proper-power test
 (all solutions), a frozen table of spot values, and the classical P-Q
 continued fraction of w, which reads the unit off the convergents
@@ -11,14 +14,17 @@ where the library multiplies along the cycle of reduced principal
 ideals.
 """
 
+import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from capitula import quadfield
+from capitula import arith, quadfield
 from capitula.arith import CACHE_MAXSIZE, factorize, is_squarefree, iter_primes, kronecker
 from capitula.cyclotomic import make_subfield
 from capitula.errors import ConsistencyError
@@ -75,6 +81,51 @@ def oracle_class_number(D):
             g = step(g)
             assert g in reduced, (D, f, g)
     return cycles
+
+
+def oracle_class_group(L):
+    """(order, elementary divisors, generators) of the class group by
+    the factor-base closure: every registered class is composed with
+    every factor-base prime, a product whose reduced form is already
+    registered gives a relation, and the Smith form of the relation
+    lattice, brought to a square basis by its HNF, gives the divisors
+    and a transform V.  Generators are reduced forms (a, B), the
+    registered representatives of the classes at the unit vectors."""
+    D = L.disc
+    fb = [quadfield._prime_above_any(L, p) for p in iter_primes(math.isqrt(D) // 2) if kronecker(D, p) != -1]
+    k = len(fb)
+    id_of, class_vecs, class_reps = {}, [], []
+
+    def register(f, vec):
+        for g in quadfield._cycle_raw(L, f):
+            id_of[g] = len(class_vecs)
+        class_vecs.append(vec)
+        class_reps.append(f)
+
+    register(quadfield._reduce_raw(L, (1, L.s)), (0,) * k)
+    relations = set()
+    queue = [0]
+    while queue:
+        cid = queue.pop()
+        for i, g in enumerate(fb):
+            red = quadfield._reduce_raw(L, quadfield._compose(L, class_reps[cid], g)[0])
+            step = tuple(v + (j == i) for j, v in enumerate(class_vecs[cid]))
+            known = id_of.get(red)
+            if known is None:
+                queue.append(len(class_vecs))
+                register(red, step)
+            elif step != class_vecs[known]:
+                relations.add(tuple(x - y for x, y in zip(step, class_vecs[known])))
+    divisors_full, v_mat = smith_normal_form(hnf_rows(sorted(relations)))
+    assert math.prod(divisors_full) == len(class_vecs)
+    keep = [j for j, m in enumerate(divisors_full) if m > 1]
+    cid_of = {
+        tuple(sum(x * v_mat[i][j] for i, x in enumerate(vec)) % divisors_full[j] for j in keep): cid
+        for cid, vec in enumerate(class_vecs)
+    }
+    assert len(cid_of) == len(class_vecs)
+    units = [tuple(int(i == j) for i in range(len(keep))) for j in range(len(keep))]
+    return len(class_vecs), tuple(divisors_full[j] for j in keep), [class_reps[cid_of[e]] for e in units]
 
 
 def oracle_pell_scan(D, u_cap):
@@ -271,6 +322,22 @@ def test_class_number_matches_cycle_oracle():
         assert class_group(L).order == oracle_class_number(L.disc), d
 
 
+def seeded_squarefree(rng, count, lo, hi):
+    out = []
+    while len(out) < count:
+        d = rng.randrange(lo, hi)
+        if is_squarefree(d) and d not in out:
+            out.append(d)
+    return out
+
+
+def test_class_group_matches_closure_oracle():
+    big = seeded_squarefree(random.Random(20261020), 5, 900_000, 1_000_000)
+    for d in [*SQUAREFREE_500, 399, 485, 32009, *big]:
+        cg = class_group(make_field(d))
+        assert (cg.order, cg.elementary_divisors) == oracle_class_group(make_field(d))[:2], d
+
+
 def test_per_field_caches_are_bounded():
     # a survey computes one class group per d in its range; the caches
     # must not grow with the range
@@ -306,18 +373,34 @@ def test_class_group_structure_consistency():
     assert cg.order == oracle_class_number(32009) == 9
 
 
+def test_coords_of_is_a_homomorphism():
+    # fields whose relation matrix has an entry below the diagonal that
+    # is not its own negative mod the column's diagonal, so a relation
+    # of the wrong sign would present the same group with coordinates
+    # that do not add: 697 (Z/6), 1654 (Z/9), 2755 (Z/2 x Z/6) and
+    # 3606 (Z/12, three adjoined generators)
+    for d in (697, 1654, 2755, 3606):
+        L = make_field(d)
+        cg = class_group(L)
+        primes = [prime_ideal_above(L, q) for q in iter_primes(60) if L.disc % q and kronecker(L.disc, q) == 1]
+        for I in primes:
+            for J in primes:
+                added = tuple((x + y) % m for x, y, m in zip(cg.coords_of(I), cg.coords_of(J), cg.elementary_divisors))
+                assert cg.coords_of(I * J) == added, (d, I.a, J.a)
+
+
 # coords_of(prime above q) for every split q < 60, frozen: a change of
 # the Smith transform V changes these, and they reach the records as
 # class_coords and matched_inverse
 SPLIT_PRIME_COORDS = {
-    79: {3: (2,), 5: (1,), 7: (1,), 13: (1,), 43: (0,), 47: (1,), 59: (1,)},
-    142: {3: (2,), 7: (1,), 13: (1,), 19: (2,), 23: (2,), 31: (1,), 43: (2,), 47: (1,), 53: (0,)},
-    223: {3: (2,), 11: (1,), 17: (1,), 23: (2,), 29: (1,), 37: (1,), 41: (1,), 53: (2,), 59: (2,)},
+    79: {3: (1,), 5: (2,), 7: (2,), 13: (2,), 43: (0,), 47: (2,), 59: (2,)},
+    142: {3: (1,), 7: (2,), 13: (2,), 19: (1,), 23: (1,), 31: (2,), 43: (1,), 47: (2,), 53: (0,)},
+    223: {3: (1,), 11: (2,), 17: (2,), 23: (1,), 29: (2,), 37: (2,), 41: (2,), 53: (1,), 59: (1,)},
     229: {3: (1,), 5: (1,), 11: (1,), 17: (1,), 19: (2,), 37: (0,), 43: (2,), 53: (0,)},
     235: {3: (1,), 7: (5,), 11: (2,), 13: (1,), 19: (2,), 31: (2,)},
-    399: {5: (0, 3), 11: (1, 1), 13: (1, 3), 17: (0, 1), 23: (1, 3), 29: (1, 0), 53: (1, 0), 59: (0, 2)},
+    399: {5: (0, 1), 11: (1, 1), 13: (1, 3), 17: (0, 3), 23: (1, 3), 29: (1, 2), 53: (1, 2), 59: (0, 2)},
     485: {7: (1,), 11: (0,), 13: (1,), 17: (1,), 23: (1,), 31: (0,), 37: (1,)},
-    32009: {2: (2, 2), 5: (1, 2), 13: (1, 2), 17: (0, 2), 23: (0, 1), 29: (1, 1), 37: (0, 2), 43: (0, 1), 47: (1, 1)},
+    32009: {2: (1, 0), 5: (0, 1), 13: (0, 1), 17: (2, 2), 23: (1, 1), 29: (2, 0), 37: (2, 2), 43: (1, 1), 47: (2, 0)},
 }
 
 
@@ -329,8 +412,9 @@ def test_split_prime_coords_are_pinned():
         assert {q: cg.coords_of(prime_ideal_above(L, q)) for q in split} == expected, d
 
 
-def _assert_smith_laws(a, k):
-    divisors, v = smith_normal_form(a, k)
+def _assert_smith_laws(a):
+    k = len(a)
+    divisors, v = smith_normal_form(a)
     assert len(divisors) == k and all(m > 0 for m in divisors)
     assert all(divisors[i + 1] % divisors[i] == 0 for i in range(k - 1))
     assert len(v) == k and abs(det_bareiss(v)) == 1
@@ -340,35 +424,93 @@ def _assert_smith_laws(a, k):
 
 
 def test_smith_normal_form_laws(monkeypatch):
-    _assert_smith_laws([], 0)
+    _assert_smith_laws([])
     # the relation matrices class_group builds, among them that of the
-    # smallest real quadratic field of 3-rank 2
+    # smallest real quadratic field of 3-rank 2: square and lower
+    # triangular, with diagonal product h and at most log2 h columns
     seen = []
 
-    def record(rows, k):
-        seen.append((rows, k))
-        return smith_normal_form(rows, k)
+    def record(rows):
+        seen.append(rows)
+        return smith_normal_form(rows)
 
     monkeypatch.setattr(quadfield, "smith_normal_form", record)
     class_group.cache_clear()
-    for d in (79, 235, 399, 32009):
-        class_group(make_field(d))
-    assert len(seen) == 4 and seen[-1][1] > 2
-    for rows, k in seen:
-        _assert_smith_laws(rows, k)
-    with pytest.raises(ValueError, match="fewer relations"):
-        smith_normal_form([[1, 0]], 2)
+    orders = [class_group(make_field(d)).order for d in (79, 235, 399, 32009)]
+    assert len(seen) == 4 and len(seen[-1]) == 2
+    for rows, h in zip(seen, orders):
+        assert all(len(row) == len(rows) and not any(row[i + 1:]) for i, row in enumerate(rows))
+        assert math.prod(row[i] for i, row in enumerate(rows)) == h and 2 ** len(rows) <= h
+        _assert_smith_laws(rows)
+    with pytest.raises(ValueError, match="not full rank"):
+        smith_normal_form([[1, 0], [2, 0]])
+
+
+def test_smith_normal_form_laws_on_random_triangular_matrices():
+    # the shape class_group builds, up to the sign below the diagonal:
+    # square, lower triangular, full rank, each entry below the diagonal
+    # reduced mod its column's diagonal; determinants reach 60^6, where
+    # entries blew up to millions of bits before the Smith form worked
+    # modulo the determinant
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n = rng.randrange(7)
+        diag = [rng.randrange(2, 61) for _ in range(n)]
+        rows = [[rng.randrange(diag[j]) if j < i else diag[i] * (i == j) for j in range(n)] for i in range(n)]
+        _assert_smith_laws(rows)
 
 
 def test_classes_sharing_coordinates_trip_the_check(monkeypatch):
-    def zero_transform(rows, k):
-        divisors, v = smith_normal_form(rows, k)
+    def zero_transform(rows):
+        divisors, v = smith_normal_form(rows)
+        k = len(rows)
         return divisors, [[0] * k for _ in range(k)]
 
     monkeypatch.setattr(quadfield, "smith_normal_form", zero_transform)
     class_group.cache_clear()
     with pytest.raises(ConsistencyError, match="two classes share their coordinates"):
         class_group(make_field(79))
+
+
+def test_a_generator_of_the_wrong_order_trips_the_check(monkeypatch):
+    monkeypatch.setattr(quadfield, "_cycle_contains_unit", lambda L, f: True)
+    class_group.cache_clear()
+    with pytest.raises(ConsistencyError, match="generator order 1, declared 3"):
+        class_group(make_field(79))
+
+
+def test_p_sylow_generator_is_canonical():
+    # the target of --class generator, brute-forced from the oracle's own
+    # generators: of the classes of the largest 3-power order, the one
+    # whose reduced cycle holds the least (a, B).  1129 and 1654 have
+    # 3-part Z/9, where that is one of six generators; on 1654 it is (7,),
+    # neither the Smith form's own generator (1,) nor its inverse.  32009
+    # has 3-part Z/3 x Z/3, where it is one of eight classes, the class of
+    # the prime above 2, (2, 1); a target taken from the cyclic factor that
+    # V names moves with V (the factor-base closure named the class of
+    # (10, 17), the subgroup growth one of (5, 3))
+    for d, top, expected in (
+        (79, 3, (1,)), (142, 3, (1,)), (229, 3, (1,)), (235, 3, (4,)),
+        (1129, 9, (1,)), (1654, 9, (7,)), (32009, 3, (1, 0)),
+    ):
+        L = make_field(d)
+        cg = class_group(L)
+        _, divisors, generators = oracle_class_group(L)
+        parts = []
+        for (a, B), m in zip(generators, divisors):
+            o = 3 ** arith.valuation(m, 3)
+            parts.append((QuadIdeal(L, a, quadfield._b_from_form(L, a, B)) ** (m // o), o))
+        assert max(o for _, o in parts) == top, d
+        least = min(
+            f
+            for exps in itertools.product(*(range(o) for _, o in parts))
+            if any(o == top and e % 3 for e, (_, o) in zip(exps, parts))
+            for I in [functools.reduce(operator.mul, (g**e for e, (g, _) in zip(exps, parts)))]
+            for f in quadfield._cycle_raw(L, quadfield._reduce_raw(L, (I.a, I.bform)))
+        )
+        target = cg.coords_of(QuadIdeal(L, least[0], quadfield._b_from_form(L, *least)))
+        assert cg.p_sylow(3).generator_coords == target == expected, d
+        assert cg.order_of(target) == top, d
 
 
 def test_p_sylow_data():
