@@ -128,20 +128,21 @@ def _resolve_selector(cg, p: int, selector: str):
     return tuple(map(int, tokens))
 
 
-def _candidate_payload(cand) -> dict:
+def _candidate_payload(cand, cg) -> dict:
     sym = cand.witness.symbol
+    coords = cand.witness.class_coords
     return {
         "q": cand.q,
         "condition_flags": list(cand.flags()),
         "witness": {
             "root": cand.witness.root,
             "symbol": None if sym is None else asdict(sym),
-            "class_coords": None
-            if cand.witness.class_coords is None
-            else list(cand.witness.class_coords),
+            "class_coords": None if coords is None else list(coords),
+            "class_form": None if coords is None else list(cg.least_form(coords)),
             "cond3_note": cand.cond3_note,
         },
         "target_class": list(cand.target_class),
+        "target_form": list(cg.least_form(cand.target_class)),
         "matched_inverse": cand.matched_inverse,
     }
 
@@ -175,11 +176,11 @@ def _open_record(command, d, p, n, selector, config):
     return L, cg, target, record
 
 
-def _find_candidate(L, p, n, phi_scale, q, target, q_bound, jobs, record):
+def _find_candidate(L, cg, p, n, phi_scale, q, target, q_bound, jobs, record):
     """Scan for q with find_prime (q None) or test the given q with
     check_conditions, and write the outcome into record: q and the
-    exhausted payload, or the candidate payload.  Returns the candidate,
-    or None when the scan is exhausted."""
+    exhausted payload, or the candidate payload, whose classes cg names.
+    Returns the candidate, or None when the scan is exhausted."""
     t0 = time.perf_counter()
     if q is None:
         result = find_prime(L, p, n, target, phi_scale, q_bound, jobs)
@@ -190,18 +191,18 @@ def _find_candidate(L, p, n, phi_scale, q, target, q_bound, jobs, record):
         record["q"] = None
         record["exhausted"] = _exhausted_payload(result)
         return None
-    record.update(_candidate_payload(result))
+    record.update(_candidate_payload(result, cg))
     return result
 
 
 def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
     """Shared body of `search`: returns (record, found_candidate_or_None)."""
     LambdaSpec(p, n, phi_scale)  # refuse bad parameters before the field is built
-    L, _, target, record = _open_record(
+    L, cg, target, record = _open_record(
         "search", d, p, n, selector,
         {"q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs},
     )
-    cand = _find_candidate(L, p, n, phi_scale, None, target, q_bound, jobs, record)
+    cand = _find_candidate(L, cg, p, n, phi_scale, None, target, q_bound, jobs, record)
     return record, cand
 
 
@@ -246,7 +247,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         )
     record["bound_report"] = asdict(report)
 
-    cand = _find_candidate(L, p, n, phi_scale, q, target, q_bound, jobs, record)
+    cand = _find_candidate(L, cg, p, n, phi_scale, q, target, q_bound, jobs, record)
     if cand is None:
         return record, "exhausted"
     if not cand.passed:
@@ -651,7 +652,8 @@ def auxiliary(d, p, a, selector, qbound, out):
     """Auxiliary-prime reduction: a split prime q = 1 (mod 2 p^a) whose
     class matches the target, with the resulting power statement."""
     L = make_field(d)
-    target = _resolve_selector(class_group(L), p, selector)
+    cg = class_group(L)
+    target = _resolve_selector(cg, p, selector)
     result = find_auxiliary_prime(L, p, a, target, qbound)
     if isinstance(result, ExhaustedSearch):
         _echo_exhausted(_exhausted_payload(result))
@@ -664,6 +666,7 @@ def auxiliary(d, p, a, selector, qbound, out):
         "a": a,
         "q": result.q,
         "class_coords": list(result.class_coords),
+        "class_form": list(cg.least_form(result.class_coords)),
         "target_class": list(result.target_class),
         "matched_inverse": result.matched_inverse,
         "root": result.root,

@@ -17,9 +17,12 @@ is a full-rank sublattice in Hermite normal form.  Its Gram matrix
 under the trace form (the T2 quadratic form, M is totally real) is
 reduced by all-integer LLL, which returns its transform and the
 integral Gram-Schmidt data of the reduced basis, and the lattice is
-walked twice in the reduced basis, at a T2 radius and at twice that
-radius.  A walk reads only Gram-Schmidt data, never a Gram matrix, and
-no reduced Gram matrix is formed.  The ideal comes from L, so
+walked twice in the reduced basis, at a T2 radius^2 and at 2^(2/2e)
+times it, a ball of about twice the lattice points, since point counts
+grow as the 2e-th power of the radius.  A generator whose T2 lies past
+the second radius is left to the twisted tries below.  A walk reads
+only Gram-Schmidt data, never a Gram matrix, and no reduced Gram
+matrix is formed.  The ideal comes from L, so
 Gal(M/L) = <tau> fixes it, and tau and -1 keep T2 and |N|: when F is
 cubic the two walks run instead in an orbit basis b0, b1, b0 eta_1,
 b0 eta_2, b1 eta_1, b1 eta_2, with b0, b1 the Lagrange-Gauss reduced
@@ -239,14 +242,15 @@ def extend_ideal(I: QuadIdeal, order: CompositumOrder) -> IdealLatticeBasis:
 @dataclass(frozen=True)
 class RadiusSchedule:
     """Budget of the generator search.  c0 scales the radii: the two
-    untwisted walks go to T2 radius^2 2e * c0 * det(Gram)^(1/2e) and
-    twice that, and each twisted try to 32 * c0 * 2e * N^(2/2e) in the
-    twisted form, 64 times the T2 of a balanced generator at c0 = 2.
-    After the untwisted walks come up to 16 * 2^max_doublings twisted
-    tries.  Each untwisted walk spends at most WALK_VISITS visits, and
-    spending them ends the search inconclusive (capped), never wrong; a
-    twisted try spends at most TRY_VISITS.  Needs c0 >= 1 and
-    max_doublings >= 0."""
+    untwisted walks go to T2 radius^2 base = 2e * c0 * det(Gram)^(1/2e)
+    and floor(2^(2/2e) base), a ball of about twice the lattice points
+    (point counts grow as radius^2e), and each twisted try to
+    32 * c0 * 2e * N^(2/2e) in the twisted form, 64 times the T2 of a
+    balanced generator at c0 = 2.  After the untwisted walks come up to
+    16 * 2^max_doublings twisted tries.  Each untwisted walk spends at
+    most WALK_VISITS visits, and spending them ends the search
+    inconclusive (capped), never wrong; a twisted try spends at most
+    TRY_VISITS.  Needs c0 >= 1 and max_doublings >= 0."""
 
     c0: int = 2
     max_doublings: int = 9
@@ -258,6 +262,13 @@ class RadiusSchedule:
     @property
     def tries(self) -> int:
         return 16 << self.max_doublings
+
+    def untwisted_radii(self, n: int, det_gram: int) -> tuple[int, int]:
+        """The squared T2 radii of the two untwisted walks of a lattice
+        of rank n and Gram determinant det_gram: base and the exact
+        floor(2^(2/n) base), the n-th root of 4 base^n."""
+        base = n * self.c0 * (_iroot(det_gram, n) + 1)
+        return base, _iroot(4 * base**n, n)
 
 
 @dataclass(frozen=True)
@@ -587,27 +598,48 @@ def _orbit_basis(order: CompositumOrder, hnf):
     I = Z b0 + Z b1 the rows b0, b1, b0 eta_1, b0 eta_2, b1 eta_1,
     b1 eta_2 are a basis on which tau acts as `_enumerate_short` needs
     (pairs = 2).  An element of L has coordinates constant on each half,
-    (c, c, c, d, d, d), and I = Tr_{M/L}(Lambda) has the (c, d) of the
-    traces (sum x[:e], sum x[e:]) of the HNF rows.  b0 and b1 are their
-    HNF, Lagrange-Gauss reduced under T2, so T2(b0) <= T2(b1) <=
-    T2(b1 +- b0).  Returns (gram, rows): the rows' trace-form Gram and
-    the rows in order coordinates."""
-    e, n = order.F.e, order.degree
+    (c, c, c, d, d, d), which is -(c + d w) since the periods sum to -1,
+    so b eta_i has -c at i and -d at e + i.  I = Tr_{M/L}(Lambda) has
+    the (c, d) of the traces (sum x[:e], sum x[e:]) of the HNF rows.  b0
+    and b1 are their HNF, Lagrange-Gauss reduced under the trace form of
+    L, which is T2 on M divided by e, so T2(b0) <= T2(b1) <=
+    T2(b1 +- b0).  The trace form of M is that of L times that of F, so
+    the rows b f, b' f' with f, f' in (1, eta_1, eta_2) have Gram entry
+    Tr_L(b b') Tr_F(f f').  Returns (gram, rows): the rows' trace-form
+    Gram and the rows in order coordinates."""
+    e = order.F.e
     if e != 3:
         return None
+    s, nw = order.L.s, order.L.norm_omega()
+    g11 = s * s - 2 * nw
+
+    def tr_l(u, v):
+        # Tr_L((c + d w)(c' + d' w)) on the trace form ((2, s), (s, g11))
+        return 2 * u[0] * v[0] + s * (u[0] * v[1] + u[1] * v[0]) + g11 * u[1] * v[1]
+
     traces = hnf_rows([[sum(r[:e]), sum(r[e:])] for r in hnf])
-    b0, b1 = sorted(([c] * e + [dd] * e for c, dd in traces), key=order.t2)
+    b0, b1 = sorted(traces, key=lambda b: tr_l(b, b))
     # Lagrange-Gauss: size-reduce b1 against b0, swap while b1 is shorter
     while True:
-        g0 = order.t2(b0)
-        k = (2 * _qform(order.gram, b1, b0) + g0) // (2 * g0)
+        g0 = tr_l(b0, b0)
+        k = (2 * tr_l(b1, b0) + g0) // (2 * g0)
         b1 = [u - k * v for u, v in zip(b1, b0)]
-        if order.t2(b1) >= g0:
+        if tr_l(b1, b1) >= g0:
             break
         b0, b1 = b1, b0
-    ident = [[int(j == i) for j in range(n)] for i in range(n)]
-    rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in (1, 2)]
-    return [[_qform(order.gram, r, t) for t in rows] for r in rows], rows
+    # row r is bs[r] times f = (1, eta_1, eta_2)[fs[r]]
+    bs, fs = (b0, b1, b0, b0, b1, b1), (0, 0, 1, 2, 1, 2)
+    rows = [[c] * e + [d] * e for c, d in (b0, b1)]
+    for b, i in zip(bs[2:], fs[2:]):
+        row = [0] * (2 * e)
+        row[i], row[e + i] = -b[0], -b[1]
+        rows.append(row)
+    gram_f = order.F.trace_gram()
+    tr_f = [[e, -1, -1], [-1, *gram_f[1][1:]], [-1, *gram_f[2][1:]]]
+    gram = [
+        [tr_l(bs[r], bs[t]) * tr_f[fs[r]][fs[t]] for t in range(6)] for r in range(6)
+    ]
+    return gram, rows
 
 
 def _twist(rng: random.Random, n: int) -> list:
@@ -646,7 +678,8 @@ def certify_principal(
     """Search for a generator of the ideal lattice.
 
     First LLL-reduce the ideal's trace-form Gram matrix and walk it at
-    two T2 radii (see RadiusSchedule), in the orbit basis of
+    the two T2 radii of schedule.untwisted_radii, the second about twice
+    the lattice points of the first, in the orbit basis of
     `_orbit_basis` when there is one, else in the reduced basis, each
     walk once and with a budget of WALK_VISITS visits.  A walk that
     spends its budget ends the search, capped.  Then run up to
@@ -741,8 +774,6 @@ def certify_principal(
     gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
     gso, U, lll_swaps = lll_reduce_gram(gram_i)
     base = [_mat_vec(U[i], hnf) for i in range(n)]
-    det_gram = order.disc * B.norm * B.norm
-    base_sq = n * schedule.c0 * (_iroot(det_gram, n) + 1)
     orbit = _orbit_basis(order, hnf)
     if orbit:
         gso, rows, pairs = gram_schmidt_int(orbit[0]), orbit[1], 2
@@ -750,7 +781,7 @@ def certify_principal(
         rows, pairs = base, 0
     frows = _band_rows(emb, rows)
     rounds = []
-    for radius_sq in (base_sq, 2 * base_sq):
+    for radius_sq in schedule.untwisted_radii(n, order.disc * B.norm * B.norm):
         cert, rnd, capped = walk(gso, frows, (rows,), radius_sq, WALK_VISITS, pairs)
         rounds.append(rnd)
         if cert is not None:

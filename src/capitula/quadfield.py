@@ -380,7 +380,9 @@ class ClassGroup:
     """The (wide) ideal class group, as elementary divisors and generators.
 
     coords_of maps an ideal to its coordinate tuple with respect to the
-    stored generators; the identity is the all-zero tuple.
+    stored generators; the identity is the all-zero tuple.  Coordinates
+    depend on the Smith transform V; least_form names a class by the
+    least reduced (a, B) on its reduction cycle, which no V moves.
     """
 
     field: QuadraticField
@@ -389,6 +391,7 @@ class ClassGroup:
     generators: tuple[QuadIdeal, ...]
     _id_of: dict = field(repr=False)
     _class_coords: list = field(repr=False)
+    _least_of: dict = field(repr=False)
 
     def coords_of(self, ideal: QuadIdeal) -> tuple[int, ...]:
         if ideal.field != self.field:
@@ -398,6 +401,13 @@ class ClassGroup:
         if cid is None:  # pragma: no cover - the factor base generates the group
             raise ConsistencyError("reduced ideal missed by the class group")
         return self._class_coords[cid]
+
+    def least_form(self, coords) -> tuple[int, int]:
+        """The least reduced (a, B) on the reduction cycle of the class
+        with these coordinates, taken mod the elementary divisors."""
+        if len(coords) != len(self.elementary_divisors):
+            raise ValueError(f"coordinates {coords} do not fit divisors {self.elementary_divisors}")
+        return self._least_of[tuple(c % m for c, m in zip(coords, self.elementary_divisors))]
 
     def identity_coords(self) -> tuple[int, ...]:
         return (0,) * len(self.elementary_divisors)
@@ -417,9 +427,8 @@ class ClassGroup:
             # of the p-part of the largest order; of these classes, take the
             # one whose reduced cycle holds the least (a, B), a choice that
             # does not depend on the transform V
-            top = {c for c in self._class_coords if self.order_of(c) == divisors[-1]}
-            least = min(f for f, cid in self._id_of.items() if self._class_coords[cid] in top)
-            gen = self._class_coords[self._id_of[least]]
+            top = [c for c in self._class_coords if self.order_of(c) == divisors[-1]]
+            gen = min(top, key=self._least_of.__getitem__)
         return SylowData(p=p, order=p**w, divisors=divisors, generator_coords=gen, w=w)
 
 
@@ -434,11 +443,12 @@ def class_group(L: QuadraticField) -> ClassGroup:
     are registered until the reduced g^o lands in H, which gives the one
     relation o e_j - vec(g^o) (baby-step subgroup growth, Buchmann,
     Jacobson and Teske, Math. Comp. 66, 1997).  Every class is
-    registered once, with a reduced representative and an exponent
-    vector over the adjoined generators.  The relation matrix is square
-    and lower triangular, its diagonal product is h, and it has at most
-    log2 h columns.  Its Smith form gives the invariant factors d_j and
-    the transform V; a class has coordinates vec V mod d_j.  No two
+    registered once, with a reduced representative, the least (a, B) on
+    its cycle and an exponent vector over the adjoined generators.  The
+    relation matrix is square and lower triangular, its diagonal
+    product is h, and it has at most log2 h columns.  Its Smith form
+    gives the invariant factors d_j and the transform V; a class has
+    coordinates vec V mod d_j.  No two
     classes may share their coordinates.  Generator j is the registered
     representative of the class whose coordinates are the j-th unit
     vector, and its order is verified by explicit powering.
@@ -449,12 +459,15 @@ def class_group(L: QuadraticField) -> ClassGroup:
     id_of: dict[tuple[int, int], int] = {}
     class_vecs: list[tuple[int, ...]] = []
     class_reps: list[tuple[int, int]] = []
+    class_least: list[tuple[int, int]] = []
 
     def register(f_reduced, vec):
-        for g in _cycle_raw(L, f_reduced):
+        cycle = _cycle_raw(L, f_reduced)
+        for g in cycle:
             id_of[g] = len(class_vecs)
         class_vecs.append(vec)
         class_reps.append(f_reduced)
+        class_least.append(min(cycle))
 
     register(_reduce_raw(L, (1, L.s)), ())
     relations = []
@@ -492,7 +505,8 @@ def class_group(L: QuadraticField) -> ClassGroup:
         a, bf = class_reps[cid_of[tuple(int(i == j) for i in range(len(keep)))]]
         generators.append(QuadIdeal(L, a, _b_from_form(L, a, bf)))
 
-    cg = ClassGroup(L, h, divisors, tuple(generators), id_of, coords)
+    least_of = dict(zip(coords, class_least))
+    cg = ClassGroup(L, h, divisors, tuple(generators), id_of, coords, least_of)
     _verify_generator_orders(L, cg)
     return cg
 

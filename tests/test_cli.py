@@ -231,8 +231,9 @@ def test_twisted_tries_certify_and_record_where_the_search_went():
         assert record["principal_in_L"] is False
         assert 1 <= record["tries"] <= 64
         assert record["enumerated"] > sum(r["visited"] for r in record["rounds"])
-        base = record["rounds"][0]["radius_sq"]
-        assert [r["radius_sq"] for r in record["rounds"]] == [base, 2 * base]
+        n, det_gram = 6, record["compositum_disc"] * record["ideal_norm"] ** 2
+        radii = compositum.RadiusSchedule(c0=2).untwisted_radii(n, det_gram)
+        assert [r["radius_sq"] for r in record["rounds"]] == list(radii)
         assert record["lll_swaps"] > 0
         assert not {"tries", "rounds", "lll_swaps"} & record["certificate"].keys()
         assert reverify_record(json.loads(json.dumps(record)))
@@ -483,6 +484,23 @@ def test_auxiliary_79(runner, tmp_path):
     assert rec["q"] == 7
     assert rec["q"] % 6 == 1
     assert "Cl_L'^3" in rec["statement"]
+
+
+def test_records_name_classes_by_their_least_forms(runner, tmp_path):
+    # next to the coordinates, which move with the Smith transform V,
+    # each class is named by the least reduced (a, B) on its cycle: on
+    # d = 79 the target is the class of (3, 2), and the primes above 7
+    # and 13 lie in its conjugate, the class of (3, 4)
+    out = tmp_path / "records.jsonl"
+    for args in (["search"], ["certify", "--q", "13"], ["auxiliary"]):
+        result = runner.invoke(main, [*args, "--d", "79", "--p", "3", "--out", str(out)])
+        assert result.exit_code == 0, args
+    search, certify, auxiliary = read_records(out)
+    for rec in (search, certify):
+        assert (rec["target_class"], rec["target_form"]) == ([1], [3, 2])
+        assert (rec["witness"]["class_coords"], rec["witness"]["class_form"]) == ([2], [3, 4])
+    assert (auxiliary["class_coords"], auxiliary["class_form"]) == ([2], [3, 4])
+    assert reverify_record(certify)
 
 
 def test_auxiliary_exhausted(runner):

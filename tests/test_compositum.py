@@ -44,7 +44,7 @@ from capitula.compositum import (
 )
 from capitula.cyclotomic import make_subfield
 from capitula.errors import ConsistencyError
-from capitula.linalg import det_bareiss, gram_schmidt_int, lll_reduce_gram
+from capitula.linalg import det_bareiss, gram_schmidt_int, hnf_rows, lll_reduce_gram
 from capitula.quadfield import (
     QuadIdeal,
     class_group,
@@ -461,19 +461,19 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     assert isinstance(full, NotFound)
     assert not full.capped
     assert full.tries == 16
-    assert full.enumerated == 10108
+    assert full.enumerated == 2890
     # swaps: 6 in the untwisted reduction (the capped run's only one),
     # the rest in the 16 twisted ones
     assert out.lll_swaps == 6
     assert full.lll_swaps == 627
     assert counters == {
-        "tries": 16, "enumerated": 10108, "rounds": full.rounds, "lll_swaps": 627
+        "tries": 16, "enumerated": 2890, "rounds": full.rounds, "lll_swaps": 627
     }
-    # both untwisted walks, pinned: radius base and 2 * base, visits,
-    # band-kept and rows counted unscanned
+    # both untwisted walks, pinned: radius base and floor(2^(1/3) base),
+    # visits, band-kept and rows counted unscanned
     assert full.rounds == (
         EnumerationRound(73626, 856, 0, 66),
-        EnumerationRound(147252, 9224, 0, 794),
+        EnumerationRound(92762, 2006, 0, 212),
     )
     # enumerated adds the twisted visits to the untwisted rounds
     walked = sum(r.visited for r in full.rounds)
@@ -497,9 +497,9 @@ def test_certificate_of_985_is_pinned():
     # shrinks its ball at each hit
     assert counters["rounds"] == (
         EnumerationRound(50952, 8768, 0, 1514),
-        EnumerationRound(101904, 33910, 6, 4204),
+        EnumerationRound(64195, 16530, 6, 2602),
     )
-    assert counters["enumerated"] == sum(r.visited for r in counters["rounds"])
+    assert counters["enumerated"] == sum(r.visited for r in counters["rounds"]) == 25298
     assert counters["lll_swaps"] == 22
 
 
@@ -570,7 +570,7 @@ def test_orbit_basis_of_the_ideal_lattice(d, q):
 
 
 @pytest.mark.parametrize("d, q, pair_kept", [
-    (79, 7, 72), (257, 13, 42), (985, 19, 6), (730, 79, 0), (1171, 7, 0)
+    (79, 7, 36), (257, 13, 24), (985, 19, 6), (730, 79, 0), (1171, 7, 0)
 ])
 def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     # same visits, same rows counted unscanned and the same kept set,
@@ -581,10 +581,9 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     gram, rows = _orbit_basis(order, hnf)
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
-    n = order.degree
-    base_sq = n * 2 * (_iroot(order.disc * B.norm**2, n) + 1)
+    radii = RadiusSchedule().untwisted_radii(order.degree, order.disc * B.norm**2)
     moved = 0
-    for radius_sq in (base_sq, 2 * base_sq):
+    for radius_sq in radii:
         half = _enumerate_short(gso, radius_sq, 10**9, (_band_rows(emb, base), *band))
         orbit = _enumerate_short(
             gram_schmidt_int(gram), radius_sq, 10**9, (_band_rows(emb, rows), *band), 2
@@ -595,6 +594,41 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
         )
         moved += sum(1 for x in orbit[0] if any(x[2:]))
     assert moved == pair_kept
+
+
+def oracle_orbit_basis(order, hnf):
+    """The orbit basis built through the order: Lagrange-Gauss under T2
+    on the whole order coordinates, the rows b eta_i as products, and
+    the Gram from the trace form of M."""
+    e, n = order.F.e, order.degree
+    traces = hnf_rows([[sum(r[:e]), sum(r[e:])] for r in hnf])
+    b0, b1 = sorted(([c] * e + [dd] * e for c, dd in traces), key=order.t2)
+    while True:
+        g0 = order.t2(b0)
+        k = (2 * _qform(order.gram, b1, b0) + g0) // (2 * g0)
+        b1 = [u - k * v for u, v in zip(b1, b0)]
+        if order.t2(b1) >= g0:
+            break
+        b0, b1 = b1, b0
+    ident = [[int(j == i) for j in range(n)] for i in range(n)]
+    rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in (1, 2)]
+    return [[_qform(order.gram, r, t) for t in rows] for r in rows], rows
+
+
+@pytest.mark.parametrize("d, q", ORBIT_FIELDS + (
+    (142, 7), (223, 37), (229, 43), (235, 19), (254, 7), (321, 13), (326, 7),
+    (346, 73), (359, 7), (427, 19), (443, 19), (469, 31), (473, 7), (785, 19),
+))
+def test_orbit_basis_matches_the_order_built_oracle(d, q):
+    # the rows and the Gram come straight from the 2 x 2 trace form of L
+    # and the period trace form of F; they must equal the construction
+    # through products and the 6 x 6 trace form, for the prime above q
+    # and for its conjugate
+    order = order_of(d, q, 3)
+    prime = prime_ideal_above(make_field(d), q)
+    for ideal in (prime, prime.conjugate()):
+        hnf = [list(r) for r in extend_ideal(ideal, order).hnf]
+        assert _orbit_basis(order, hnf) == oracle_orbit_basis(order, hnf)
 
 
 def test_no_orbit_basis_off_the_cubic_case():
@@ -676,11 +710,11 @@ def test_tries_with_an_empty_ball_are_counted_and_not_walked(monkeypatch):
     out = certify_principal(B, order, RadiusSchedule(max_doublings=2))
     assert out == NotFound(
         tries=64,
-        enumerated=79288,
+        enumerated=27926,
         capped=False,
         rounds=(
             EnumerationRound(943164, 9168, 0, 698),
-            EnumerationRound(1886328, 70038, 0, 3636),
+            EnumerationRound(1188312, 18676, 0, 1252),
         ),
         lll_swaps=2459,
     )
@@ -692,6 +726,34 @@ def test_schedule_defaults():
     assert (s.c0, s.max_doublings) == (2, 9)
     assert compositum.WALK_VISITS == 60_000_000
     assert s.tries == 16 * 2**9
+
+
+@pytest.mark.parametrize("n", [6, 10, 18])
+def test_second_untwisted_radius_is_the_exact_root(n):
+    # r2 = floor(2^(2/n) base): r2^n <= 4 base^n < (r2 + 1)^n, so the
+    # second ball holds about twice the lattice points of the first
+    rng = random.Random(n)
+    for det_gram in [1, 2, 10**6] + [rng.randrange(1, 10**40) for _ in range(20)]:
+        for c0 in (1, 2, 7):
+            base, r2 = RadiusSchedule(c0=c0).untwisted_radii(n, det_gram)
+            assert base == n * c0 * (_iroot(det_gram, n) + 1)
+            assert r2**n <= 4 * base**n < (r2 + 1) ** n
+            assert base < r2 < 2 * base
+
+
+def test_untwisted_generators_lie_within_the_radii():
+    # the fields the untwisted walks certify: 79 and 257 inside the
+    # first ball, 985 at T2 61597, inside the second ball of 64195
+    margins = []
+    for d, q in ((79, 7), (257, 13), (985, 19)):
+        order = order_of(d, q, 3)
+        B = extend_ideal(prime_ideal_above(make_field(d), q), order)
+        cert = certify_principal(B, order)
+        base, r2 = RadiusSchedule().untwisted_radii(order.degree, order.disc * B.norm**2)
+        margins.append((order.t2(cert.alpha), base, r2))
+    (t79, base79, _), (t257, base257, _), (t985, base985, r985) = margins
+    assert t79 <= base79 and t257 <= base257
+    assert base985 < t985 == 61597 <= r985 == 64195
 
 
 def test_schedule_refuses_out_of_range():

@@ -509,6 +509,30 @@ def test_p_sylow_generator_is_canonical():
         assert cg.order_of(target) == top, d
 
 
+def test_least_form_names_a_class_whatever_the_transform():
+    # every class, built from the oracle's generators and so named
+    # through the oracle's own transform V, gets the least reduced
+    # (a, B) of its cycle from the class group's coordinates, whose V
+    # differs; the h forms are distinct
+    for d in (79, 1654, 32009):
+        L = make_field(d)
+        cg = class_group(L)
+        h, divisors, generators = oracle_class_group(L)
+        gens = [QuadIdeal(L, a, quadfield._b_from_form(L, a, B)) for a, B in generators]
+        forms = set()
+        for exps in itertools.product(*(range(m) for m in divisors)):
+            I = functools.reduce(operator.mul, (g**e for g, e in zip(gens, exps)), QuadIdeal(L, 1, 0))
+            least = min(quadfield._cycle_raw(L, quadfield._reduce_raw(L, (I.a, I.bform))))
+            coords = cg.coords_of(I)
+            assert cg.least_form(coords) == least, (d, exps)
+            # coordinates are read mod the divisors
+            assert cg.least_form(tuple(c + m for c, m in zip(coords, cg.elementary_divisors))) == least
+            forms.add(least)
+        assert len(forms) == h == cg.order, d
+        with pytest.raises(ValueError):
+            cg.least_form(cg.identity_coords() + (0,))
+
+
 def test_p_sylow_data():
     cg = class_group(make_field(79))
     syl = cg.p_sylow(3)
