@@ -39,7 +39,6 @@ from .chebotarev import (
     ordered_map,
 )
 from .compositum import (
-    NotFound,
     PrincipalityCertificate,
     RadiusSchedule,
     build_compositum,
@@ -99,10 +98,6 @@ def _appendable(ctx, param, path):
     return path
 
 
-_out_option = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                           callback=_appendable, help="Append a JSON record to this file.")
-
-
 def _structure_str(divisors) -> str:
     if not divisors:
         return "trivial"
@@ -137,12 +132,9 @@ def _candidate_payload(cand, cg) -> dict:
         "witness": {
             "root": cand.witness.root,
             "symbol": None if sym is None else asdict(sym),
-            "class_coords": None if coords is None else list(coords),
             "class_form": None if coords is None else list(cg.least_form(coords)),
             "cond3_note": cand.cond3_note,
         },
-        "target_class": list(cand.target_class),
-        "target_form": list(cg.least_form(cand.target_class)),
         "matched_inverse": cand.matched_inverse,
     }
 
@@ -153,7 +145,8 @@ def _exhausted_payload(ex: ExhaustedSearch) -> dict:
 
 def _open_record(command, d, p, n, selector, config):
     """Build the field, its class group and the target class, and start
-    the record every search-bearing command emits.  Returns
+    the record every search-bearing command emits, which names the
+    target by its least form whatever the outcome.  Returns
     (L, cg, target, record)."""
     t0 = time.perf_counter()
     L = make_field(d)
@@ -170,6 +163,7 @@ def _open_record(command, d, p, n, selector, config):
             "order": cg.order,
             "elementary_divisors": list(cg.elementary_divisors),
         },
+        "target_form": list(cg.least_form(target)),
         "config": {"class_selector": selector, **config},
         "timings_ms": timings,
     }
@@ -226,8 +220,11 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
 
     status is "ok", "exhausted" (no qualifying prime), "failed"
     (explicit q given but some condition is false), or "not_found"
-    (enumeration gave out).  Raises ValueError for invalid input and
-    ConsistencyError if any internal cross-check trips.
+    (enumeration gave out).  The search report of certify_principal
+    goes into the record as it is: under not_found when the search
+    gave out, at the top level next to the certificate when it did
+    not.  Raises ValueError for invalid input and ConsistencyError if
+    any internal cross-check trips.
     """
     schedule = _certify_schedule(p, n, phi_scale, c0, max_doublings)
     L, cg, target, record = _open_record(
@@ -283,21 +280,20 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     record["principal_in_L"] = principal
 
     t0 = time.perf_counter()
-    counters = {}
-    outcome = certify_principal(lattice, order, schedule, counters)
+    cert, search = certify_principal(lattice, order, schedule)
     timings["certify"] = _now_ms(t0)
-    if isinstance(outcome, NotFound):
+    if cert is None:
         record["certificate"] = None
-        record["not_found"] = asdict(outcome)
+        record["not_found"] = asdict(search)
         return record, "not_found"
 
     record["certificate"] = {
-        "alpha": list(outcome.alpha),
-        "norm_alpha": outcome.norm_alpha,
-        "ideal_norm": outcome.ideal_norm,
-        "containment": list(outcome.containment),
+        "alpha": list(cert.alpha),
+        "norm_alpha": cert.norm_alpha,
+        "ideal_norm": cert.ideal_norm,
+        "containment": list(cert.containment),
     }
-    record.update(counters, rounds=[asdict(r) for r in counters["rounds"]])
+    record.update(asdict(search))
     if not reverify_record(json.loads(json.dumps(record))):
         raise ConsistencyError("freshly emitted record failed re-verification")
     return record, "ok"
@@ -417,9 +413,9 @@ def _echo_candidate(cand_payload) -> None:
             f"  unit symbol: base {s['base']}, value {s['value']}, "
             f"order {s['order']} (degree {s['degree']})"
         )
-    if w["class_coords"] is not None:
+    if w["class_form"] is not None:
         tag = "inverse of target" if cand_payload["matched_inverse"] else "target"
-        click.echo(f"  class of prime above q: {w['class_coords']}  [{tag}]")
+        click.echo(f"  class of prime above q: {tuple(w['class_form'])}  [{tag}]")
 
 
 def _echo_exhausted(payload) -> None:
@@ -462,9 +458,46 @@ def main():
     """
 
 
+# the options several commands take, each declared once; bound's --n
+# and the --jobs of survey, which drives another pool, are their own
+_OPTIONS = {
+    "d": click.option("--d", type=int, required=True, help="Squarefree d >= 2."),
+    "p": click.option("--p", type=int, required=True, help="Odd prime p."),
+    "n": click.option("--n", type=click.IntRange(min=1), default=1, show_default=True,
+                      help="Ramification exponent: F has degree p^n."),
+    "class": click.option("--class", "selector", default="generator", show_default=True,
+                          help="Target class: generator, identity, or explicit "
+                               "coordinates like '1' or '0,2'."),
+    "qbound": click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True,
+                           help="Scan primes q up to this bound."),
+    "phi-scale": click.option("--phi-scale", type=int, default=1, show_default=True,
+                              help="Power of p scaling the unit character."),
+    "jobs": click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+                         help="Worker processes for the prime scan."),
+    "c0": click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True,
+                       help="Multiplier of the enumeration radii."),
+    "max-doublings": click.option("--max-doublings", type=click.IntRange(min=0),
+                                  default=RadiusSchedule.max_doublings, show_default=True,
+                                  help="Budget of 16 * 2^N twisted tries before giving up."),
+    "out": click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                        callback=_appendable, help="Append a JSON record to this file."),
+}
+
+
+def _options(*names):
+    """Apply the shared options of these names, in this order."""
+    def wrap(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return wrap
+
+
+_SEARCH = ("d", "p", "n", "class", "qbound", "phi-scale", "jobs", "out")
+
+
 @main.command()
-@click.option("--d", type=int, required=True, help="Squarefree d >= 2.")
-@_out_option
+@_options("d", "out")
 def classgroup(d, out):
     """Class number and group structure of Q(sqrt(d))."""
     cg = class_group(make_field(d))
@@ -480,34 +513,8 @@ def classgroup(d, out):
     })
 
 
-_search_options = [
-    click.option("--d", type=int, required=True, help="Squarefree d >= 2."),
-    click.option("--p", type=int, required=True, help="Odd prime p."),
-    click.option("--n", type=click.IntRange(min=1), default=1, show_default=True,
-                 help="Ramification exponent: F has degree p^n."),
-    click.option("--class", "selector", default="generator", show_default=True,
-                 help="Target class: generator, identity, or explicit "
-                      "coordinates like '1' or '0,2'."),
-    click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True,
-                 help="Scan primes q up to this bound."),
-    click.option("--phi-scale", type=int, default=1, show_default=True,
-                 help="Power of p scaling the unit character."),
-    click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-                 help="Worker processes for the prime scan."),
-    _out_option,
-]
-
-
-def _with_options(opts):
-    def wrap(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return wrap
-
-
 @main.command()
-@_with_options(_search_options)
+@_options(*_SEARCH)
 def search(d, p, n, selector, qbound, phi_scale, jobs, out):
     """Scan for the smallest prime q passing all six conditions."""
     record, cand = run_search(d, p, n, selector, qbound, phi_scale, jobs)
@@ -516,7 +523,7 @@ def search(d, p, n, selector, qbound, phi_scale, jobs, out):
     click.echo(
         f"d = {d}, p = {p}, n = {n}: class group "
         f"{_structure_str(cginfo['elementary_divisors'])}, "
-        f"target {record.get('target_class', record['config']['class_selector'])}"
+        f"target {tuple(record['target_form'])}"
     )
     if cand is None:
         _echo_exhausted(record["exhausted"])
@@ -525,14 +532,10 @@ def search(d, p, n, selector, qbound, phi_scale, jobs, out):
 
 
 @main.command()
-@_with_options(_search_options)
+@_options(*_SEARCH)
 @click.option("--q", type=int, default=None,
               help="Use this prime instead of scanning.")
-@click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True,
-              help="Multiplier of the enumeration radii.")
-@click.option("--max-doublings", type=click.IntRange(min=0),
-              default=RadiusSchedule.max_doublings, show_default=True,
-              help="Budget of 16 * 2^N twisted tries before giving up.")
+@_options("c0", "max-doublings")
 def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doublings):
     """End-to-end principalization: find q, build M = L.F, emit an
     exact certificate that the target class becomes principal."""
@@ -576,18 +579,13 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 
 
 @main.command()
-@click.option("--dmin", type=int, default=2, show_default=True)
-@click.option("--dmax", type=int, required=True)
-@click.option("--p", type=int, required=True, help="Odd prime p.")
-@click.option("--n", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True)
-@click.option("--phi-scale", type=int, default=1, show_default=True)
+@click.option("--dmin", type=int, default=2, show_default=True,
+              help="Least d of the range.")
+@click.option("--dmax", type=int, required=True, help="Largest d of the range.")
+@_options("p", "n", "qbound", "phi-scale")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help=f"Worker processes; at most {SURVEY_AHEAD} x jobs fields in flight.")
-@click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True)
-@click.option("--max-doublings", type=click.IntRange(min=0),
-              default=RadiusSchedule.max_doublings, show_default=True)
-@_out_option
+@_options("c0", "max-doublings", "out")
 def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, in one pass over the range, printing each row (and
@@ -624,8 +622,10 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
 @main.command()
 @click.option("--g-order", type=int, required=True, help="|G| = [L:K].")
 @click.option("--n", type=int, required=True, help="Ramification exponent.")
-@click.option("--delta", type=int, default=0, show_default=True)
-@click.option("--d-exp", type=int, default=0, show_default=True)
+@click.option("--delta", type=int, default=0, show_default=True,
+              help="Valuation of the unit character index.")
+@click.option("--d-exp", type=int, default=0, show_default=True,
+              help="Compositum growth: the degree over L is p^(n + d).")
 @click.option("--w", type=int, required=True, help="p-part exponent of h.")
 def bound(g_order, n, delta, d_exp, w):
     """Evaluate the cohomology-exponent bounds and the threshold."""
@@ -641,13 +641,10 @@ def bound(g_order, n, delta, d_exp, w):
 
 
 @main.command()
-@click.option("--d", type=int, required=True, help="Squarefree d >= 2.")
-@click.option("--p", type=int, required=True, help="Odd prime p.")
+@_options("d", "p")
 @click.option("--a", type=click.IntRange(min=1), default=1, show_default=True,
               help="Auxiliary degree exponent: F_0 has degree p^a.")
-@click.option("--class", "selector", default="generator", show_default=True)
-@click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True)
-@_out_option
+@_options("class", "qbound", "out")
 def auxiliary(d, p, a, selector, qbound, out):
     """Auxiliary-prime reduction: a split prime q = 1 (mod 2 p^a) whose
     class matches the target, with the resulting power statement."""
@@ -665,16 +662,15 @@ def auxiliary(d, p, a, selector, qbound, out):
         "p": p,
         "a": a,
         "q": result.q,
-        "class_coords": list(result.class_coords),
         "class_form": list(cg.least_form(result.class_coords)),
-        "target_class": list(result.target_class),
+        "target_form": list(cg.least_form(target)),
         "matched_inverse": result.matched_inverse,
         "root": result.root,
         "statement": result.statement,
     }
     _append_record(out, record)
     click.echo(f"q = {result.q} (split, q = 1 mod {2 * p**a}), "
-               f"class {result.class_coords}")
+               f"class {tuple(record['class_form'])}")
     click.echo(result.statement)
 
 

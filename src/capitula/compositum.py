@@ -297,19 +297,19 @@ class EnumerationRound:
 
 
 @dataclass(frozen=True)
-class NotFound:
-    """The search gave out without an exact-norm hit.  Inconclusive:
-    generators need not be short.  tries counts the twisted tries
-    walked, enumerated the vectors visited by every walk, untwisted and
-    twisted; capped means an untwisted walk spent its WALK_VISITS and
-    ended the search; rounds has one entry per untwisted walk;
-    lll_swaps counts the basis exchanges of every LLL reduction."""
+class SearchReport:
+    """Where a generator search went, whatever its outcome.  tries
+    counts the twisted tries walked, enumerated the vectors visited by
+    every walk, untwisted and twisted; capped means an untwisted walk
+    spent its WALK_VISITS and ended the search; rounds has one entry per
+    untwisted walk; lll_swaps counts the basis exchanges of every LLL
+    reduction."""
 
     tries: int
     enumerated: int
-    capped: bool = False
-    rounds: tuple = ()
-    lll_swaps: int = 0
+    capped: bool
+    rounds: tuple
+    lll_swaps: int
 
 
 def _iroot(x: int, k: int) -> int:
@@ -673,7 +673,6 @@ def certify_principal(
     B: IdealLatticeBasis,
     order: CompositumOrder,
     schedule: RadiusSchedule | None = None,
-    counters: dict | None = None,
 ):
     """Search for a generator of the ideal lattice.
 
@@ -711,11 +710,9 @@ def certify_principal(
     decision is always exact, and containment is re-derived
     independently for the certificate.
 
-    Returns the certificate, or NotFound when the budget runs out; that
-    is inconclusive.  A dict passed as counters receives the number of
-    twisted tries, of vectors visited, the untwisted rounds and the LLL
-    swaps of every reduction (the NotFound fields of those names),
-    whatever the outcome.
+    Returns (certificate, report): the certificate, or None when the
+    budget runs out, which is inconclusive, and the SearchReport of the
+    search, whatever the outcome.
     """
     if schedule is None:
         schedule = RadiusSchedule()
@@ -762,13 +759,6 @@ def certify_principal(
             cert = _certificate(colex[::-1], nval, B, hnf, order)
         return cert, EnumerationRound(radius_sq, visited, len(kept), skipped), capped
 
-    def done(outcome):
-        if counters is not None:
-            counters.update(
-                tries=tries, enumerated=enumerated, rounds=tuple(rounds), lll_swaps=lll_swaps
-            )
-        return outcome
-
     # one reduction: the half walk's basis off the cubic case, and the
     # basis every twisted try starts from
     gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
@@ -784,10 +774,8 @@ def certify_principal(
     for radius_sq in schedule.untwisted_radii(n, order.disc * B.norm * B.norm):
         cert, rnd, capped = walk(gso, frows, (rows,), radius_sq, WALK_VISITS, pairs)
         rounds.append(rnd)
-        if cert is not None:
-            return done(cert)
-        if capped:
-            return done(NotFound(tries, enumerated, True, tuple(rounds), lll_swaps))
+        if cert is not None or capped:
+            return cert, SearchReport(tries, enumerated, capped, tuple(rounds), lll_swaps)
 
     # the tries twist the reduced basis: their LLL starts near reduced
     rng = random.Random(repr((order.disc, B.hnf)))
@@ -810,8 +798,8 @@ def certify_principal(
         # a hit's alpha is formed exactly
         cert = walk(gso, _band_rows(conj, U), (U, base), radius_sq, TRY_VISITS, 0)[0]
         if cert is not None:
-            return done(cert)
-    return done(NotFound(tries, enumerated, False, tuple(rounds), lll_swaps))
+            break
+    return cert, SearchReport(tries, enumerated, False, tuple(rounds), lll_swaps)
 
 
 def _certificate(alpha, nval, B, hnf, order) -> PrincipalityCertificate:

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -80,10 +81,10 @@ def test_search_79_finds_7(runner, tmp_path):
     assert rec["command"] == "search"
     assert rec["q"] == 7
     assert rec["condition_flags"] == [True] * 6
-    assert rec["target_class"] == [1]
+    assert rec["target_form"] == [3, 2]
     assert rec["witness"]["symbol"]["order"] == 3
     assert rec["witness"]["root"] == 3
-    assert rec["witness"]["class_coords"] == [2]
+    assert rec["witness"]["class_form"] == [3, 4]
     assert rec["matched_inverse"] is True
     assert rec["class_group"] == {"order": 3, "elementary_divisors": [3]}
 
@@ -99,6 +100,9 @@ def test_search_exhausted_exit_1(runner, tmp_path):
     assert rec["q"] is None
     assert rec["exhausted"]["q_bound"] == 6
     assert rec["exhausted"]["scanned"] == 1
+    # the target is named whatever the outcome, by its least form
+    assert rec["target_form"] == [3, 2]
+    assert result.output.startswith("d = 79, p = 3, n = 1: class group Z/3, target (3, 2)\n")
 
 
 def test_search_rejects_even_p(runner):
@@ -218,7 +222,8 @@ def test_certify_starved_schedule_inconclusive(runner, tmp_path):
     assert rec["not_found"]["enumerated"] > 0
     assert len(rec["not_found"]["rounds"]) == 2
     assert rec["not_found"]["lll_swaps"] > 0
-    assert not {"tries", "enumerated", "rounds", "lll_swaps"} & rec.keys()
+    assert rec["not_found"]["capped"] is False
+    assert not {"tries", "enumerated", "capped", "rounds", "lll_swaps"} & rec.keys()
 
 
 def test_twisted_tries_certify_and_record_where_the_search_went():
@@ -235,7 +240,8 @@ def test_twisted_tries_certify_and_record_where_the_search_went():
         radii = compositum.RadiusSchedule(c0=2).untwisted_radii(n, det_gram)
         assert [r["radius_sq"] for r in record["rounds"]] == list(radii)
         assert record["lll_swaps"] > 0
-        assert not {"tries", "rounds", "lll_swaps"} & record["certificate"].keys()
+        assert record["capped"] is False
+        assert not {"tries", "capped", "rounds", "lll_swaps"} & record["certificate"].keys()
         assert reverify_record(json.loads(json.dumps(record)))
         # the counters are where the search went, not part of the proof
         assert reverify_record(json.loads(json.dumps({**record, "lll_swaps": -1})))
@@ -487,19 +493,25 @@ def test_auxiliary_79(runner, tmp_path):
 
 
 def test_records_name_classes_by_their_least_forms(runner, tmp_path):
-    # next to the coordinates, which move with the Smith transform V,
-    # each class is named by the least reduced (a, B) on its cycle: on
-    # d = 79 the target is the class of (3, 2), and the primes above 7
-    # and 13 lie in its conjugate, the class of (3, 4)
+    # each class is named once, by the least reduced (a, B) on its
+    # cycle, never by its coordinates, which move with the Smith
+    # transform V: on d = 79 the target is the class at coordinates (1,),
+    # the class of (3, 2), and the primes above 7 and 13 lie in its
+    # conjugate at (2,), the class of (3, 4)
+    cg = quadfield.class_group(quadfield.make_field(79))
+    assert (cg.least_form((1,)), cg.least_form((2,))) == ((3, 2), (3, 4))
     out = tmp_path / "records.jsonl"
     for args in (["search"], ["certify", "--q", "13"], ["auxiliary"]):
         result = runner.invoke(main, [*args, "--d", "79", "--p", "3", "--out", str(out)])
         assert result.exit_code == 0, args
+        assert "(3, 4)" in result.output, args
     search, certify, auxiliary = read_records(out)
     for rec in (search, certify):
-        assert (rec["target_class"], rec["target_form"]) == ([1], [3, 2])
-        assert (rec["witness"]["class_coords"], rec["witness"]["class_form"]) == ([2], [3, 4])
-    assert (auxiliary["class_coords"], auxiliary["class_form"]) == ([2], [3, 4])
+        assert (rec["target_form"], rec["witness"]["class_form"]) == ([3, 2], [3, 4])
+        assert "class_coords" not in rec["witness"]
+    for rec in (search, certify, auxiliary):
+        assert not {"target_class", "class_coords"} & rec.keys()
+    assert (auxiliary["target_form"], auxiliary["class_form"]) == ([3, 2], [3, 4])
     assert reverify_record(certify)
 
 
@@ -756,6 +768,15 @@ def test_tripped_class_group_cross_check_exits_3(runner, monkeypatch):
     result = runner.invoke(main, ["classgroup", "--d", "79"])
     assert result.exit_code == 3
     assert "internal consistency failure: relation lattice" in result.output
+
+
+def test_every_option_has_help_text():
+    # an option a command shares is declared once, with its help, so
+    # --help shows it on every command that takes it
+    for name, command in main.commands.items():
+        for param in command.params:
+            if isinstance(param, click.Option):
+                assert param.help, (name, param.opts)
 
 
 def test_no_assert_statements_in_the_package():

@@ -23,7 +23,7 @@ from capitula import compositum
 from capitula.compositum import (
     EnumerationRound,
     IdealLatticeBasis,
-    NotFound,
+    SearchReport,
     PrincipalityCertificate,
     TRY_VISITS,
     RadiusSchedule,
@@ -341,14 +341,14 @@ def test_certify_unit_ideal():
     order = order_2_7()
     B = extend_ideal(QuadIdeal(make_field(2), 1, 0), order)
     assert B.norm == 1
-    counters = {}
-    cert = certify_principal(B, order, counters=counters)
+    cert, search = certify_principal(B, order)
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 1
     # found in the first walk, after the one untwisted reduction
-    assert counters["tries"] == 0
-    assert len(counters["rounds"]) == 1
-    assert counters["lll_swaps"] == 4
+    assert search.tries == 0
+    assert len(search.rounds) == 1
+    assert search.lll_swaps == 4
+    assert search.capped is False
 
 
 def test_certify_principal_prime_from_L():
@@ -361,7 +361,7 @@ def test_certify_principal_prime_from_L():
     assert is_principal(L, frak)[0]
     order = order_79_13()
     B = extend_ideal(frak, order)
-    cert = certify_principal(B, order)
+    cert, _ = certify_principal(B, order)
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 43**3
 
@@ -374,13 +374,12 @@ def test_flagship_capitulation_d79():
     assert is_principal(L, frak)[0] is False
     order = build_compositum(L, make_subfield(7, 3))
     B = extend_ideal(frak, order)
-    counters = {}
-    cert = certify_principal(B, order, counters=counters)
+    cert, search = certify_principal(B, order)
     assert isinstance(cert, PrincipalityCertificate)
     assert abs(cert.norm_alpha) == 343
     # the one untwisted round: radius, visits, band-kept and rows
     # counted unscanned, in a ball that shrinks at each exact-norm hit
-    assert counters["rounds"] == (EnumerationRound(5472, 4750, 18, 872),)
+    assert search.rounds == (EnumerationRound(5472, 4750, 18, 872),)
     assert cert.ideal_norm == 343
     # the certificate README shows
     assert cert.alpha == (-7, -14, -24, 0, 0, -1)
@@ -405,7 +404,7 @@ def test_corrupted_certificates_rejected():
     L = make_field(79)
     order = build_compositum(L, make_subfield(7, 3))
     B = extend_ideal(prime_ideal_above(L, 7), order)
-    cert = certify_principal(B, order)
+    cert, _ = certify_principal(B, order)
     import dataclasses
 
     for i in range(order.degree):
@@ -432,7 +431,7 @@ def test_certificate_rejected_against_wrong_lattice():
     order = build_compositum(L, make_subfield(7, 3))
     B = extend_ideal(prime_ideal_above(L, 7), order)
     other = extend_ideal(prime_ideal_above(L, 7).conjugate(), order)
-    cert = certify_principal(B, order)
+    cert, _ = certify_principal(B, order)
     assert not verify_certificate(cert, other, order)
 
 
@@ -444,8 +443,8 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     B = extend_ideal(prime_ideal_above(L, 37), order)
     with monkeypatch.context() as m:
         m.setattr(compositum, "WALK_VISITS", 500)
-        out = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0))
-    assert isinstance(out, NotFound)
+        cert, out = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0))
+    assert cert is None
     assert out.capped
     assert out.tries == 0
     assert len(out.rounds) == 1
@@ -456,9 +455,8 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     assert out.rounds == (EnumerationRound(73626, 502, 0, 18),)
     # at the default budget both untwisted walks run, then 16 * 2^0
     # twisted tries
-    counters = {}
-    full = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0), counters)
-    assert isinstance(full, NotFound)
+    cert, full = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=0))
+    assert cert is None
     assert not full.capped
     assert full.tries == 16
     assert full.enumerated == 2890
@@ -466,9 +464,6 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     # the rest in the 16 twisted ones
     assert out.lll_swaps == 6
     assert full.lll_swaps == 627
-    assert counters == {
-        "tries": 16, "enumerated": 2890, "rounds": full.rounds, "lll_swaps": 627
-    }
     # both untwisted walks, pinned: radius base and floor(2^(1/3) base),
     # visits, band-kept and rows counted unscanned
     assert full.rounds == (
@@ -478,7 +473,8 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     # enumerated adds the twisted visits to the untwisted rounds
     walked = sum(r.visited for r in full.rounds)
     assert walked <= full.enumerated <= walked + full.tries * TRY_VISITS
-    two = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=1))
+    cert, two = certify_principal(B, order, RadiusSchedule(c0=1, max_doublings=1))
+    assert cert is None
     assert two.rounds == full.rounds
     assert two.tries == 32
     assert two.enumerated >= full.enumerated
@@ -489,18 +485,17 @@ def test_certificate_of_985_is_pinned():
     L = make_field(985)
     order = build_compositum(L, make_subfield(19, 3))
     B = extend_ideal(prime_ideal_above(L, 19), order)
-    counters = {}
-    cert = certify_principal(B, order, counters=counters)
+    cert, search = certify_principal(B, order)
     assert cert.alpha == (11, -19, -3, 1, 0, -2)
-    assert counters["tries"] == 0
+    assert search.tries == 0
     # the first round has no hit and walks its whole ball; the second
     # shrinks its ball at each hit
-    assert counters["rounds"] == (
+    assert search.rounds == (
         EnumerationRound(50952, 8768, 0, 1514),
         EnumerationRound(64195, 16530, 6, 2602),
     )
-    assert counters["enumerated"] == sum(r.visited for r in counters["rounds"]) == 25298
-    assert counters["lll_swaps"] == 22
+    assert search.enumerated == sum(r.visited for r in search.rounds) == 25298
+    assert search.lll_swaps == 22
 
 
 @pytest.mark.parametrize(
@@ -516,11 +511,10 @@ def test_twisted_try_certificates_are_pinned(d, alpha, tries):
     L = make_field(d)
     order = build_compositum(L, make_subfield(7, 3))
     B = extend_ideal(prime_ideal_above(L, 7), order)
-    counters = {}
-    cert = certify_principal(B, order, RadiusSchedule(max_doublings=2), counters)
+    cert, search = certify_principal(B, order, RadiusSchedule(max_doublings=2))
     assert cert.alpha == alpha
     assert cert.norm_alpha == -343
-    assert counters["tries"] == tries
+    assert search.tries == tries
 
 
 def _untwisted(d, q, e=3):
@@ -643,17 +637,16 @@ def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
     # the reduced basis; what a walk accepts is ranked by its form and
     # then by alpha itself, never by the walk's coordinates, so the
     # certificate, the tries, the swaps and the radii stay the same.  The
-    # counters of a round with a hit depend on where in the basis's walk
+    # visits of a round with a hit depend on where in the basis's walk
     # order the hit falls, so they are compared on the full balls
     order, B, hnf, base, gso = _untwisted(d, q)
     gram, rows = _orbit_basis(order, hnf)
     schedule = RadiusSchedule(max_doublings=2)
     results = []
     for _ in range(2):
-        counters = {}
-        cert = certify_principal(B, order, schedule, counters)
-        results.append((cert, counters["tries"], counters["lll_swaps"],
-                        [r.radius_sq for r in counters["rounds"]]))
+        cert, search = certify_principal(B, order, schedule)
+        results.append((cert, search.tries, search.lll_swaps,
+                        [r.radius_sq for r in search.rounds]))
         monkeypatch.setattr(compositum, "_orbit_basis", lambda order, hnf: None)
     assert isinstance(results[0][0], PrincipalityCertificate)
     assert results[1] == results[0]
@@ -684,19 +677,19 @@ def test_singular_twisted_gram_is_a_try_without_a_walk(monkeypatch):
 
     monkeypatch.setattr(compositum, "TWIST_BITS", 30)
     monkeypatch.setattr(compositum, "lll_reduce_gram", reduce)
-    out = certify_principal(B, order, RadiusSchedule(max_doublings=0))
+    cert, search = certify_principal(B, order, RadiusSchedule(max_doublings=0))
     assert singular
-    if isinstance(out, NotFound):
-        assert out.tries == 16
+    if cert is None:
+        assert search.tries == 16
     else:
-        assert verify_certificate(out, B, order)
+        assert verify_certificate(cert, B, order)
 
 
 def test_tries_with_an_empty_ball_are_counted_and_not_walked(monkeypatch):
     # d = 730 at q = 79 is not found by two untwisted walks and 64
     # twisted tries; 36 of the tries have every Gram-Schmidt length past
-    # their radius, and only the other 28 are walked.  The counters are
-    # those of walking every try, since an empty ball moves none of them
+    # their radius, and only the other 28 are walked.  The report is
+    # that of walking every try, since an empty ball moves none of it
     L = make_field(730)
     order = build_compositum(L, make_subfield(79, 3))
     B = extend_ideal(prime_ideal_above(L, 79), order)
@@ -707,8 +700,9 @@ def test_tries_with_an_empty_ball_are_counted_and_not_walked(monkeypatch):
         return _enumerate_short(*args, **kwargs)
 
     monkeypatch.setattr(compositum, "_enumerate_short", enumerate_short)
-    out = certify_principal(B, order, RadiusSchedule(max_doublings=2))
-    assert out == NotFound(
+    cert, search = certify_principal(B, order, RadiusSchedule(max_doublings=2))
+    assert cert is None
+    assert search == SearchReport(
         tries=64,
         enumerated=27926,
         capped=False,
@@ -748,7 +742,7 @@ def test_untwisted_generators_lie_within_the_radii():
     for d, q in ((79, 7), (257, 13), (985, 19)):
         order = order_of(d, q, 3)
         B = extend_ideal(prime_ideal_above(make_field(d), q), order)
-        cert = certify_principal(B, order)
+        cert, _ = certify_principal(B, order)
         base, r2 = RadiusSchedule().untwisted_radii(order.degree, order.disc * B.norm**2)
         margins.append((order.t2(cert.alpha), base, r2))
     (t79, base79, _), (t257, base257, _), (t985, base985, r985) = margins
