@@ -14,7 +14,6 @@ from .bounds import BoundReport, herbrand_report, required_n
 from .chebotarev import (
     AuxiliaryReduction,
     ExhaustedSearch,
-    LambdaSpec,
     PrimeCandidate,
     check_conditions,
     find_auxiliary_prime,

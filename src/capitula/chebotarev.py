@@ -8,19 +8,17 @@ the exponent n when
   (3) the rational units {+-1} are p^n-th powers mod q,
   (4) q splits in L (kronecker(disc, q) = 1),
   (5) the p^n-th power residue symbol of the fundamental unit at a
-      prime above q has exact order p^n (divided by phi_scale when the
-      unit character is replaced by a p-th power of itself; both
-      check_conditions and find_prime take it as phi_scale, default 1),
+      prime above q has exact order p^n,
   (6) the class of that prime above q is the requested ideal class --
       or its inverse, since the two primes above q are conjugate and
       carry inverse classes; which one matched is recorded.
 
 For odd p condition (3) is automatic (-1 is an odd power of itself).
 Condition (5) is evaluated at every split q, as the symbol in
-(Z/q)^*/(Z/q)^*^g with g = gcd(q - 1, p^n); at phi_scale = 1 conditions
-(4) + (5) then force (2), and that implication is asserted on every
-candidate: a violation raises ConsistencyError, because it cannot
-happen unless the arithmetic itself is broken.
+(Z/q)^*/(Z/q)^*^g with g = gcd(q - 1, p^n); conditions (4) + (5) then
+force (2), and that implication is asserted on every candidate: a
+violation raises ConsistencyError, because it cannot happen unless the
+arithmetic itself is broken.
 
 The searches return the smallest qualifying prime, or an exhaustion
 value carrying per-condition failure counts so a caller can see which
@@ -30,8 +28,6 @@ condition is starving the scan.
 from __future__ import annotations
 
 import collections
-import contextlib
-import functools
 import itertools
 import math
 from concurrent import futures
@@ -43,7 +39,6 @@ from .quadfield import (
     QuadraticField,
     class_group,
     fundamental_unit,
-    make_field,
     prime_ideal_above,
 )
 
@@ -54,35 +49,13 @@ _COND3_NOTE = "automatic for odd p: (-1)^(p^n) = -1, so {+-1} are p^n-th powers"
 _COND_NAMES = ("cond1", "cond2", "cond3", "cond4", "cond5", "cond6")
 
 
-@dataclass(frozen=True)
-class LambdaSpec:
-    """Which power of the unit character is in force.
-
-    phi_scale = p^m' replaces the character by its p^m'-th power; the
-    symbol of the fundamental unit is then required to have exact
-    order p^n / phi_scale instead of p^n.  Desk runs keep it at 1.
-    """
-
-    p: int
-    n: int
-    phi_scale: int = 1
-
-    def __post_init__(self):
-        if self.p == 2 or not arith.is_prime(self.p):
-            raise ValueError("p must be an odd prime")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        # the divisors of p^n are exactly the powers p^0, ..., p^n
-        if self.phi_scale < 1 or self.p**self.n % self.phi_scale:
-            raise ValueError("phi_scale must be a power of p dividing p^n")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.n
-
-    @property
-    def required_order(self) -> int:
-        return self.p**self.n // self.phi_scale
+def check_prime_power(p: int, n: int) -> None:
+    """Refuse p and n unless p is an odd prime and n >= 1, before any
+    scan: every condition lives at the odd prime power p^n."""
+    if p == 2 or not arith.is_prime(p):
+        raise ValueError("p must be an odd prime")
+    if n < 1:
+        raise ValueError("the exponent of p must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -148,17 +121,14 @@ def check_conditions(
     n: int,
     q: int,
     target_class,
-    phi_scale: int = 1,
 ) -> PrimeCandidate:
     """Evaluate all six conditions at q and package the witnesses.
 
-    phi_scale is the power of p by which the unit character is scaled
-    (LambdaSpec checks it): condition (5) asks for a symbol of exact
-    order p^n / phi_scale.  q must not divide 2 p disc(L); such q are
-    degenerate for condition (1) and rejected with an error, so every
-    returned candidate has cond1 = True by construction.
+    q must not divide 2 p disc(L); such q are degenerate for condition
+    (1) and rejected with an error, so every returned candidate has
+    cond1 = True by construction.
     """
-    spec = LambdaSpec(p, n, phi_scale)
+    check_prime_power(p, n)
     if not arith.is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if (2 * p * L.disc) % q == 0:
@@ -168,7 +138,7 @@ def check_conditions(
 
     cg = class_group(L)
     target = _normalize_class(cg, target_class)
-    pn = spec.modulus
+    pn = p**n
 
     cond1 = True
     cond2 = q % pn == 1
@@ -184,16 +154,15 @@ def check_conditions(
         omega_res = root if L.s == 0 else (1 + root) * pow(2, -1, q) % q
         eps_res = fundamental_unit(L).residue(omega_res, q)
         symbol = arith.power_residue_symbol(eps_res, q, math.gcd(q - 1, pn))
-        cond5 = symbol.order == spec.required_order
+        cond5 = symbol.order == pn
         coords = cg.coords_of(prime_ideal_above(L, q))
         inverse = cg.inverse_coords(target)
         cond6 = coords in (target, inverse)
         matched_inverse = cond6 and coords == inverse and target != inverse
 
     # the symbol's order divides gcd(q - 1, p^n), which is below p^n
-    # unless q = 1 (mod p^n); with the character scaled down the
-    # implication is false (d = 79, p^n = 9, phi_scale = 3, q = 7)
-    if phi_scale == 1 and cond4 and cond5 and not cond2:
+    # unless q = 1 (mod p^n)
+    if cond4 and cond5 and not cond2:
         raise ConsistencyError(f"conditions (4) and (5) hold at q = {q} but (2) does not")
 
     return PrimeCandidate(
@@ -227,28 +196,23 @@ def find_prime(
     p: int,
     n: int,
     target_class,
-    phi_scale: int = 1,
     q_bound: int = DEFAULT_Q_BOUND,
-    jobs: int = 1,
 ):
-    """Smallest prime q <= q_bound passing all six conditions, with
-    the unit character scaled by phi_scale as in check_conditions.
+    """Smallest prime q <= q_bound passing all six conditions.
 
     Returns a PrimeCandidate, or an ExhaustedSearch value when the
-    bound runs out.  With jobs > 1 the prime range is cut into blocks
-    scanned by worker processes; the result is still the minimal
-    qualifying prime because blocks are consumed in order.
+    bound runs out.
     """
-    LambdaSpec(p, n, phi_scale)  # refuse bad parameters before the scan
+    check_prime_power(p, n)  # refuse bad parameters before the scan
     cg = class_group(L)
     target = _require_p_sylow(cg, p, target_class)
 
-    if jobs > 1:
-        return _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs)
+    def test(q):
+        cand = check_conditions(L, p, n, q, target)
+        return cand, [name for name, ok in zip(_COND_NAMES, cand.flags()) if not ok]
 
     stats = {name: 0 for name in _COND_NAMES}
-    hit, scanned = _scan(arith.iter_primes(q_bound), 2 * p * L.disc,
-                         _condition_test(L, p, n, target, phi_scale), stats)
+    hit, scanned = _scan(arith.iter_primes(q_bound), 2 * p * L.disc, test, stats)
     if hit is not None:
         return hit
     return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
@@ -276,24 +240,7 @@ def _scan(primes, bad, test, stats):
     return None, scanned
 
 
-def _condition_test(L, p, n, target, phi_scale):
-    def test(q):
-        cand = check_conditions(L, p, n, q, target, phi_scale)
-        return cand, [name for name, ok in zip(_COND_NAMES, cand.flags()) if not ok]
-    return test
-
-
-def _scan_block(d, p, n, target, phi_scale, primes):
-    """Worker body: scan one block of primes; returns the first hit (or
-    None), the block's failure counts, and how many were scanned."""
-    L = make_field(d)
-    stats = {name: 0 for name in _COND_NAMES}
-    test = _condition_test(L, p, n, target, phi_scale)
-    hit, scanned = _scan(primes, 2 * p * L.disc, test, stats)
-    return hit, stats, scanned
-
-
-def ordered_map(fn, items, jobs, ahead=2):
+def ordered_map(fn, items, jobs, ahead):
     """fn over items, yielding the results in input order.
 
     With jobs == 1 this is map.  Otherwise jobs worker processes run
@@ -318,25 +265,6 @@ def ordered_map(fn, items, jobs, ahead=2):
         finally:
             for fut in pending:
                 fut.cancel()
-
-
-def _find_prime_blocks(L, p, n, target, phi_scale, q_bound, jobs):
-    # blocks are cut from the lazy prime stream, 2 * jobs ahead at most
-    # since each costs the parent ~2 ms, and come back in order, so the
-    # first hit is minimal
-    primes = arith.iter_primes(q_bound)
-    blocks = iter(lambda: list(itertools.islice(primes, 4000)), [])
-    scan = functools.partial(_scan_block, L.d, p, n, target, phi_scale)
-    stats = {name: 0 for name in _COND_NAMES}
-    scanned = 0
-    with contextlib.closing(ordered_map(scan, blocks, jobs)) as results:
-        for hit, block_stats, block_scanned in results:
-            scanned += block_scanned
-            for name in _COND_NAMES:
-                stats[name] += block_stats[name]
-            if hit is not None:
-                return hit
-    return ExhaustedSearch(q_bound=q_bound, scanned=scanned, failures=stats)
 
 
 @dataclass(frozen=True)
@@ -366,10 +294,7 @@ def find_auxiliary_prime(
     2 p^a, and whose prime above carries the target class (or its
     inverse).  Returns an AuxiliaryReduction stating the consequence,
     or ExhaustedSearch."""
-    if p == 2 or not arith.is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if a < 1:
-        raise ValueError("a must be at least 1")
+    check_prime_power(p, a)
     cg = class_group(L)
     target = _normalize_class(cg, target_class)
     inverse = cg.inverse_coords(target)

@@ -32,8 +32,8 @@ from .bounds import herbrand_report, required_n
 from .chebotarev import (
     DEFAULT_Q_BOUND,
     ExhaustedSearch,
-    LambdaSpec,
     check_conditions,
+    check_prime_power,
     find_auxiliary_prime,
     find_prime,
     ordered_map,
@@ -170,16 +170,16 @@ def _open_record(command, d, p, n, selector, config):
     return L, cg, target, record
 
 
-def _find_candidate(L, cg, p, n, phi_scale, q, target, q_bound, jobs, record):
+def _find_candidate(L, cg, p, n, q, target, q_bound, record):
     """Scan for q with find_prime (q None) or test the given q with
     check_conditions, and write the outcome into record: q and the
     exhausted payload, or the candidate payload, whose classes cg names.
     Returns the candidate, or None when the scan is exhausted."""
     t0 = time.perf_counter()
     if q is None:
-        result = find_prime(L, p, n, target, phi_scale, q_bound, jobs)
+        result = find_prime(L, p, n, target, q_bound)
     else:
-        result = check_conditions(L, p, n, q, target, phi_scale)
+        result = check_conditions(L, p, n, q, target)
     record["timings_ms"]["search"] = _now_ms(t0)
     if isinstance(result, ExhaustedSearch):
         record["q"] = None
@@ -189,23 +189,20 @@ def _find_candidate(L, cg, p, n, phi_scale, q, target, q_bound, jobs, record):
     return result
 
 
-def run_search(d, p, n, selector, q_bound, phi_scale, jobs):
+def run_search(d, p, n, selector, q_bound):
     """Shared body of `search`: returns (record, found_candidate_or_None)."""
-    LambdaSpec(p, n, phi_scale)  # refuse bad parameters before the field is built
-    L, cg, target, record = _open_record(
-        "search", d, p, n, selector,
-        {"q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs},
-    )
-    cand = _find_candidate(L, cg, p, n, phi_scale, None, target, q_bound, jobs, record)
+    check_prime_power(p, n)  # refuse bad parameters before the field is built
+    L, cg, target, record = _open_record("search", d, p, n, selector, {"q_bound": q_bound})
+    cand = _find_candidate(L, cg, p, n, None, target, q_bound, record)
     return record, cand
 
 
-def _certify_schedule(p, n, phi_scale, c0, max_doublings) -> RadiusSchedule:
+def _certify_schedule(p, n, c0, max_doublings) -> RadiusSchedule:
     """Check the parameters `certify` and `survey` share before any
     field is built, and return the search schedule.  p^n above
     REVERIFY_DEGREE_MAX is refused: its records could not be
     re-verified."""
-    LambdaSpec(p, n, phi_scale)
+    check_prime_power(p, n)
     schedule = RadiusSchedule(c0=c0, max_doublings=max_doublings)
     if p**n > REVERIFY_DEGREE_MAX:
         raise ValueError(
@@ -215,7 +212,12 @@ def _certify_schedule(p, n, phi_scale, c0, max_doublings) -> RadiusSchedule:
     return schedule
 
 
-def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doublings):
+# phi_scale and jobs hold the places of two deleted parameters for the
+# positional call of perfbench (run_certify(d, P, N, "generator", None,
+# Q_BOUND, 1, 1, c0, max_doublings)); they go when it calls by keyword
+# (ROADMAP item 1)
+def run_certify(d, p, n, selector, q, q_bound, phi_scale=1, jobs=1,
+                c0=RadiusSchedule.c0, max_doublings=RadiusSchedule.max_doublings):
     """Shared body of `certify`: returns (record, status).
 
     status is "ok", "exhausted" (no qualifying prime), "failed"
@@ -226,11 +228,15 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
     not.  Raises ValueError for invalid input and ConsistencyError if
     any internal cross-check trips.
     """
-    schedule = _certify_schedule(p, n, phi_scale, c0, max_doublings)
+    if (phi_scale, jobs) != (1, 1):
+        raise ValueError(
+            f"phi_scale = {phi_scale}, jobs = {jobs}: both take only 1, since the "
+            "unit character is unscaled and the prime scan runs in one process"
+        )
+    schedule = _certify_schedule(p, n, c0, max_doublings)
     L, cg, target, record = _open_record(
         "certify", d, p, n, selector,
-        {"q": q, "q_bound": q_bound, "phi_scale": phi_scale, "jobs": jobs,
-         "c0": c0, "max_doublings": max_doublings},
+        {"q": q, "q_bound": q_bound, "c0": c0, "max_doublings": max_doublings},
     )
     timings = record["timings_ms"]
 
@@ -244,7 +250,7 @@ def run_certify(d, p, n, selector, q, q_bound, phi_scale, jobs, c0, max_doubling
         )
     record["bound_report"] = asdict(report)
 
-    cand = _find_candidate(L, cg, p, n, phi_scale, q, target, q_bound, jobs, record)
+    cand = _find_candidate(L, cg, p, n, q, target, q_bound, record)
     if cand is None:
         return record, "exhausted"
     if not cand.passed:
@@ -377,15 +383,14 @@ def reverify_record(record) -> bool:
     return verify_certificate(rebuilt, lattice, order)
 
 
-def _survey_one(d, p, n, q_bound, phi_scale, c0, max_doublings):
+def _survey_one(d, p, n, q_bound, c0, max_doublings):
     """Survey one field; must stay module-level picklable.  Returns
     None for a field whose class number p does not divide."""
     if class_group(make_field(d)).order % p:
         return None
     try:
-        record, status = run_certify(
-            d, p, n, "generator", None, q_bound, phi_scale, 1, c0, max_doublings
-        )
+        record, status = run_certify(d, p, n, "generator", None, q_bound,
+                                     c0=c0, max_doublings=max_doublings)
         return d, record, status
     except ValueError as exc:
         return d, {"d": d, "error": str(exc)}, "invalid"
@@ -458,8 +463,8 @@ def main():
     """
 
 
-# the options several commands take, each declared once; bound's --n
-# and the --jobs of survey, which drives another pool, are their own
+# the options several commands take, each declared once; an option of
+# one command (survey's --jobs, bound's --n) is declared at it
 _OPTIONS = {
     "d": click.option("--d", type=int, required=True, help="Squarefree d >= 2."),
     "p": click.option("--p", type=int, required=True, help="Odd prime p."),
@@ -470,10 +475,6 @@ _OPTIONS = {
                                "coordinates like '1' or '0,2'."),
     "qbound": click.option("--qbound", type=int, default=DEFAULT_Q_BOUND, show_default=True,
                            help="Scan primes q up to this bound."),
-    "phi-scale": click.option("--phi-scale", type=int, default=1, show_default=True,
-                              help="Power of p scaling the unit character."),
-    "jobs": click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-                         help="Worker processes for the prime scan."),
     "c0": click.option("--c0", type=int, default=RadiusSchedule.c0, show_default=True,
                        help="Multiplier of the enumeration radii."),
     "max-doublings": click.option("--max-doublings", type=click.IntRange(min=0),
@@ -493,7 +494,7 @@ def _options(*names):
     return wrap
 
 
-_SEARCH = ("d", "p", "n", "class", "qbound", "phi-scale", "jobs", "out")
+_SEARCH = ("d", "p", "n", "class", "qbound", "out")
 
 
 @main.command()
@@ -515,9 +516,9 @@ def classgroup(d, out):
 
 @main.command()
 @_options(*_SEARCH)
-def search(d, p, n, selector, qbound, phi_scale, jobs, out):
+def search(d, p, n, selector, qbound, out):
     """Scan for the smallest prime q passing all six conditions."""
-    record, cand = run_search(d, p, n, selector, qbound, phi_scale, jobs)
+    record, cand = run_search(d, p, n, selector, qbound)
     _append_record(out, record)
     cginfo = record["class_group"]
     click.echo(
@@ -536,12 +537,10 @@ def search(d, p, n, selector, qbound, phi_scale, jobs, out):
 @click.option("--q", type=int, default=None,
               help="Use this prime instead of scanning.")
 @_options("c0", "max-doublings")
-def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doublings):
+def certify(d, p, n, selector, qbound, out, q, c0, max_doublings):
     """End-to-end principalization: find q, build M = L.F, emit an
     exact certificate that the target class becomes principal."""
-    record, status = run_certify(
-        d, p, n, selector, q, qbound, phi_scale, jobs, c0, max_doublings
-    )
+    record, status = run_certify(d, p, n, selector, q, qbound, c0=c0, max_doublings=max_doublings)
     _append_record(out, record)
 
     if status == "exhausted":
@@ -582,11 +581,11 @@ def certify(d, p, n, selector, qbound, phi_scale, jobs, out, q, c0, max_doubling
 @click.option("--dmin", type=int, default=2, show_default=True,
               help="Least d of the range.")
 @click.option("--dmax", type=int, required=True, help="Largest d of the range.")
-@_options("p", "n", "qbound", "phi-scale")
+@_options("p", "n", "qbound")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help=f"Worker processes; at most {SURVEY_AHEAD} x jobs fields in flight.")
 @_options("c0", "max-doublings", "out")
-def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
+def survey(dmin, dmax, p, n, qbound, jobs, c0, max_doublings, out):
     """Certify every squarefree d in [dmin, dmax] whose class number is
     divisible by p, in one pass over the range, printing each row (and
     appending each record) as soon as its field is done; the range is
@@ -594,13 +593,13 @@ def survey(dmin, dmax, p, n, qbound, phi_scale, jobs, c0, max_doublings, out):
     last row.  A range reaching past the desk bound, squarefree or not,
     and p^n above REVERIFY_DEGREE_MAX are invalid input, refused before
     any class group is computed."""
-    _certify_schedule(p, n, phi_scale, c0, max_doublings)
+    _certify_schedule(p, n, c0, max_doublings)
     # disc(d) grows with d in each residue class mod 4, so one of the
     # top four d has the range's largest discriminant
     for d in range(max(2, dmin, dmax - 3), dmax + 1):
         desk_disc(d)
     squarefree = (d for d in range(max(2, dmin), dmax + 1) if is_squarefree(d))
-    one = functools.partial(_survey_one, p=p, n=n, q_bound=qbound, phi_scale=phi_scale,
+    one = functools.partial(_survey_one, p=p, n=n, q_bound=qbound,
                             c0=c0, max_doublings=max_doublings)
     click.echo(f"{'d':>6} {'h':>4} {'q':>8} {'status':>10} {'ms':>9}")
     fields = certified = 0

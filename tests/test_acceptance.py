@@ -179,7 +179,7 @@ def _certified_fields():
                 break
             t0 = time.perf_counter()
             record, status = run_certify(
-                d, 3, 1, "generator", None, 50_000, 1, 1, 2, 12
+                d, 3, 1, "generator", None, 50_000, c0=2, max_doublings=12
             )
             record["_elapsed_s"] = time.perf_counter() - t0
             record["_status"] = status

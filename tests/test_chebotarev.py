@@ -2,8 +2,8 @@
 
 Freezes the full condition profile at the worked d = 79 points (q = 7
 and q = 13 qualify, q = 11 does not), then checks the structural
-implication: at phi_scale = 1, whenever (4) and (5) hold, (2) must
-too, across every admissible prime up to 10^5.  The implication is
+implication: whenever (4) and (5) hold, (2) must too, across every
+admissible prime up to 10^5.  The implication is
 enforced inside check_conditions by raising, so the scan passes
 exactly when no candidate ever trips it.
 """
@@ -18,9 +18,9 @@ from capitula import arith
 from capitula.arith import ResidueSymbol, iter_primes, kronecker
 from capitula.chebotarev import (
     ExhaustedSearch,
-    LambdaSpec,
     PrimeCandidate,
     check_conditions,
+    check_prime_power,
     find_auxiliary_prime,
     find_prime,
     ordered_map,
@@ -37,26 +37,16 @@ TARGET_79 = (1,)
 
 
 # ---------------------------------------------------------------------------
-# LambdaSpec
+# the p and n check
 
 
-def test_lambda_spec_validation():
-    spec = LambdaSpec(3, 2)
-    assert spec.modulus == 9
-    assert spec.required_order == 9
-    assert LambdaSpec(3, 2, phi_scale=3).required_order == 3
-    with pytest.raises(ValueError):
-        LambdaSpec(2, 1)
-    with pytest.raises(ValueError):
-        LambdaSpec(4, 1)
-    with pytest.raises(ValueError):
-        LambdaSpec(9, 1)
-    with pytest.raises(ValueError):
-        LambdaSpec(3, 0)
-    with pytest.raises(ValueError):
-        LambdaSpec(3, 1, phi_scale=2)
-    with pytest.raises(ValueError):
-        LambdaSpec(3, 1, phi_scale=9)  # exceeds p^n
+def test_check_prime_power_refuses_bad_p_and_n():
+    check_prime_power(3, 2)
+    for p in (2, 4, 9):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            check_prime_power(p, 1)
+    with pytest.raises(ValueError, match="the exponent of p must be at least 1"):
+        check_prime_power(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +142,6 @@ def test_implication_raise_fires_on_a_wrong_symbol(monkeypatch):
     assert (cand.cond2, cand.cond4, cand.cond5) == (False, True, False)
     assert (cand.witness.symbol.degree, cand.witness.symbol.order) == (1, 1)
 
-    # with the scaled character (5) holds there, and that is no violation
-    for n, q in [(1, 5), (2, 7)]:
-        scaled = check_conditions(L, 3, n, q, TARGET_79, phi_scale=3)
-        assert (scaled.cond2, scaled.cond4, scaled.cond5) == (False, True, True)
-
     real = arith.power_residue_symbol
     monkeypatch.setattr(
         arith, "power_residue_symbol",
@@ -194,13 +179,6 @@ def test_find_prime_returns_smallest():
         assert not check_conditions(L, 3, 1, q, TARGET_79).passed
 
 
-def test_find_prime_parallel_agrees():
-    L = make_field(79)
-    seq = find_prime(L, 3, 1, TARGET_79, jobs=1)
-    par = find_prime(L, 3, 1, TARGET_79, jobs=2)
-    assert (seq.q, seq.flags()) == (par.q, par.flags())
-
-
 def test_find_prime_exhausted():
     out = find_prime(make_field(79), 3, 1, TARGET_79, q_bound=6)
     assert isinstance(out, ExhaustedSearch)
@@ -214,10 +192,9 @@ def test_find_prime_exhausted_counts_across_sieve_windows():
     # of the lazy prime stream.  Counts frozen from the eager-sieve scan.
     want = {"cond1": 3, "cond2": 7833, "cond3": 0,
             "cond4": 3959, "cond5": 7844, "cond6": 5228}
-    for jobs in (1, 2):
-        out = find_prime(make_field(79), 3, 6, TARGET_79, q_bound=80190, jobs=jobs)
-        assert isinstance(out, ExhaustedSearch)
-        assert (out.scanned, out.failures) == (7848, want)
+    out = find_prime(make_field(79), 3, 6, TARGET_79, q_bound=80190)
+    assert isinstance(out, ExhaustedSearch)
+    assert (out.scanned, out.failures) == (7848, want)
 
 
 def even_slower(i):
@@ -227,7 +204,7 @@ def even_slower(i):
 
 
 def test_ordered_map_reads_an_endless_input_in_order_and_closes_promptly():
-    results = ordered_map(even_slower, itertools.count(), 2)
+    results = ordered_map(even_slower, itertools.count(), 2, 2)
     assert list(itertools.islice(results, 5)) == [0, 1, 2, 3, 4]
     t0 = time.perf_counter()
     results.close()
@@ -270,7 +247,7 @@ def test_auxiliary_prime_deeper_level():
 
 def test_auxiliary_prime_validation_and_exhaustion():
     L = make_field(79)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p must be an odd prime"):
         find_auxiliary_prime(L, 2, 1, TARGET_79)
     with pytest.raises(ValueError):
         find_auxiliary_prime(L, 3, 0, TARGET_79)

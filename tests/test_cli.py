@@ -185,11 +185,23 @@ def test_certify_auto_search_uses_smallest_q(runner, tmp_path):
 
 
 def test_certify_record_states_each_fact_once():
-    # phi_scale lives in config alone; q and p^n are not repeated in subfield
-    rec, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 0)
+    # q and p^n are not repeated in subfield, and neither the character
+    # scale nor a worker count is a parameter any more
+    rec, status = run_certify(79, 3, 1, "generator", None, 50_000, c0=2, max_doublings=0)
     assert status == "ok"
-    assert "phi_scale" not in rec and rec["config"]["phi_scale"] == 1
+    assert "phi_scale" not in rec
+    assert "phi_scale" not in rec["config"] and "jobs" not in rec["config"]
     assert list(rec["subfield"]) == ["period_poly", "disc", "poly_disc", "index", "irreducible_mod"]
+
+
+def test_run_certify_keeps_two_positional_placeholders():
+    # perfbench calls run_certify with ten positional arguments, 1 and 1
+    # in the places of phi_scale and jobs; any other value is refused
+    rec, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 0)
+    assert (status, rec["q"]) == ("ok", 7)
+    for phi_scale, jobs in ((3, 1), (1, 2)):
+        with pytest.raises(ValueError, match="take only 1"):
+            run_certify(79, 3, 1, "generator", None, 50_000, phi_scale, jobs, 2, 0)
 
 
 def test_certify_failed_conditions_exit_1(runner, tmp_path):
@@ -231,7 +243,7 @@ def test_twisted_tries_certify_and_record_where_the_search_went():
     # the twisted tries find them within max_doublings = 2 (64 tries),
     # and the records carry the tries and visits and re-verify from JSON
     for d in (142, 254):
-        record, status = run_certify(d, 3, 1, "generator", None, 50_000, 1, 1, 2, 2)
+        record, status = run_certify(d, 3, 1, "generator", None, 50_000, c0=2, max_doublings=2)
         assert status == "ok", d
         assert record["principal_in_L"] is False
         assert 1 <= record["tries"] <= 64
@@ -251,7 +263,7 @@ def test_certificate_does_not_depend_on_the_hash_seed():
     # the twists are seeded by a str, so string hashing cannot move them
     script = (
         "from capitula.cli import run_certify\n"
-        "record, _ = run_certify(142, 3, 1, 'generator', None, 50000, 1, 1, 2, 2)\n"
+        "record, _ = run_certify(142, 3, 1, 'generator', None, 50000, c0=2, max_doublings=2)\n"
         "print(record['certificate']['alpha'])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -315,23 +327,15 @@ def test_survey_rejects_bad_p(runner):
     assert result.exit_code == 2
 
 
-def test_survey_rejects_bad_phi_scale_before_any_field(runner):
-    # 2 does not divide 3^1: the run stops up front, as certify does,
-    # instead of listing each 3-divisible field as invalid
-    result = runner.invoke(main, ["survey", "--dmax", "260", "--p", "3", "--phi-scale", "2"])
-    assert result.exit_code == 2
-    assert result.output == "error: phi_scale must be a power of p dividing p^n\n"
-
-
 def test_survey_streams_each_record_as_its_field_finishes(runner, tmp_path, monkeypatch):
     # 79 and 142 are the 3-divisible fields in the range; the second one
     # trips a consistency failure, after the first record is written
     real = cli.run_certify
 
-    def run_certify_or_fail(d, *args):
+    def run_certify_or_fail(d, *args, **kwargs):
         if d == 142:
             raise ConsistencyError("injected")
-        return real(d, *args)
+        return real(d, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_certify", run_certify_or_fail)
     out = tmp_path / "records.jsonl"
@@ -358,7 +362,7 @@ def test_survey_streams_from_its_first_field(runner, monkeypatch):
         seen.append(L.d)
         return real_class_group(L)
 
-    def run_certify_or_fail(d, *args):
+    def run_certify_or_fail(d, *args, **kwargs):
         raise ConsistencyError("injected")
 
     monkeypatch.setattr(cli, "class_group", recording_class_group)
@@ -380,7 +384,7 @@ def test_survey_reads_its_range_lazily(runner, monkeypatch, jobs):
         seen.append(d)
         return real_is_squarefree(d)
 
-    def run_certify_or_fail(d, *args):
+    def run_certify_or_fail(d, *args, **kwargs):
         raise ConsistencyError("injected")
 
     monkeypatch.setattr(cli, "is_squarefree", counted_is_squarefree)
@@ -527,23 +531,23 @@ def test_auxiliary_exhausted(runner):
 
 
 def test_run_search_returns_candidate():
-    record, cand = run_search(79, 3, 1, "generator", 50_000, 1, 1)
+    record, cand = run_search(79, 3, 1, "generator", 50_000)
     assert cand is not None and cand.q == 7
     assert record["q"] == 7
 
 
 def test_run_certify_statuses():
-    record, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 12)
+    record, status = run_certify(79, 3, 1, "generator", None, 50_000, c0=2, max_doublings=12)
     assert status == "ok"
     assert reverify_record(json.loads(json.dumps(record)))
-    _, failed = run_certify(79, 3, 1, "generator", 11, 50_000, 1, 1, 2, 12)
+    _, failed = run_certify(79, 3, 1, "generator", 11, 50_000, c0=2, max_doublings=12)
     assert failed == "failed"
-    _, exhausted = run_certify(79, 3, 1, "generator", None, 6, 1, 1, 2, 12)
+    _, exhausted = run_certify(79, 3, 1, "generator", None, 6, c0=2, max_doublings=12)
     assert exhausted == "exhausted"
 
 
 def test_reverify_rejects_tampered_records():
-    record, _ = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 12)
+    record, _ = run_certify(79, 3, 1, "generator", None, 50_000, c0=2, max_doublings=12)
     clean = json.loads(json.dumps(record))
     assert reverify_record(clean)
 
@@ -566,7 +570,7 @@ def test_reverify_rejects_tampered_records():
 
 @functools.lru_cache(maxsize=None)
 def genuine_79_json() -> str:
-    record, status = run_certify(79, 3, 1, "generator", None, 50_000, 1, 1, 2, 12)
+    record, status = run_certify(79, 3, 1, "generator", None, 50_000, c0=2, max_doublings=12)
     assert status == "ok"
     return json.dumps(record)
 
@@ -673,7 +677,7 @@ def test_reverify_coordinate_ceiling_falls_with_the_degree(monkeypatch):
     assert calls == [6]
 def test_certify_refuses_what_it_could_not_reverify():
     with pytest.raises(ValueError, match="re-verified"):
-        run_certify(79, 3, 4, "generator", None, 50_000, 1, 1, 2, 12)
+        run_certify(79, 3, 4, "generator", None, 50_000, c0=2, max_doublings=12)
 
 
 def test_version_flag(runner):
@@ -706,7 +710,7 @@ def test_consistency_failure_exits_3(runner, monkeypatch, args):
 
 INVALID_INPUTS = {
     "classgroup": ["classgroup", "--d", "1"],
-    "search": ["search", "--d", "79", "--p", "3", "--phi-scale", "2"],
+    "search": ["search", "--d", "79", "--p", "4"],
     "certify": ["certify", "--d", "79", "--p", "3", "--n", "4"],
     "certify-c0": ["certify", "--d", "79", "--p", "3", "--c0", "0"],
     "survey": ["survey", "--dmax", "10", "--p", "9"],
@@ -726,6 +730,17 @@ def test_invalid_input_exits_2(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.output.startswith("error: ")
+    assert "Usage:" not in result.output
+
+
+@pytest.mark.parametrize("command", ["search", "certify"])
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--phi-scale", "3"]], ids=lambda o: o[0])
+def test_deleted_options_are_refused(runner, command, option):
+    # the prime scan runs in one process and the unit character is
+    # unscaled; survey keeps its own --jobs
+    result = runner.invoke(main, [command, "--d", "79", "--p", "3", *option])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: No such option")
     assert "Usage:" not in result.output
 
 
