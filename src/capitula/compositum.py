@@ -12,54 +12,56 @@ multiplication of F.  The trace form is the Kronecker product of the
 norm goes through the tower N_M = N_F o N_{M/F}: a quadratic relative
 norm in F, then an e x e determinant.
 
-The generator search is lattice business.  An ideal of L extended to M
-is a full-rank sublattice in Hermite normal form.  Its Gram matrix
-under the trace form (the T2 quadratic form, M is totally real) is
-reduced by all-integer LLL, which returns its transform and the
-integral Gram-Schmidt data of the reduced basis, and the lattice is
-walked twice in the reduced basis, at a T2 radius^2 and at 2^(2/2e)
-times it, a ball of about twice the lattice points, since point counts
-grow as the 2e-th power of the radius.  A generator whose T2 lies past
-the second radius is left to the twisted tries below.  A walk reads
-only Gram-Schmidt data, never a Gram matrix, and no reduced Gram
-matrix is formed.  The ideal comes from L, so
-Gal(M/L) = <tau> fixes it, and tau and -1 keep T2 and |N|: when F is
-cubic the two walks run instead in an orbit basis b0, b1, b0 eta_1,
-b0 eta_2, b1 eta_1, b1 eta_2, with b0, b1 the Lagrange-Gauss reduced
-basis of I = Tr_{M/L}(I.O_M) under T2, take one vector of each orbit
-of six (of two in the plane of I) and expand what they keep.  Every other walk, each
-twisted try included, covers half the ball, the vectors whose last
-nonzero coordinate is positive, and mirrors what it keeps: y and -y
-have the same |N|, and the floats that judge -y are exactly those of y
-negated.  Each walk has a visit budget and stops when it is spent.  It
-tests the exact norm of each vector the band keeps as it meets it, and
-after a hit its ball shrinks to that hit's form, ties kept (Schnorr
-and Euchner), so the rest of the walk still meets every generator that
-ranks no worse.  The hits are ranked afterwards by the walk's form and
-then by the element itself in order coordinates, so neither the order
-of the walk nor its basis changes the generator.  A generator need not
-be short in T2: its conjugates can be far from balanced.  So the search
-goes on with seeded twisted tries, the Arakelov form of Buchmann's
-principal-ideal method: the lattice is walked under the trace form
-twisted by exp(2 s_j) on the j-th embedding, with s random in the
-trace-zero hyperplane, which rebalances a generator whose
-log-conjugates lie along s.  Each try twists the LLL-reduced basis of
-the trace form, not the HNF rows, so its LLL starts nearer a reduced
-basis and makes fewer swaps.  A try whose Gram-Schmidt norms all exceed
-its radius has an empty ball; it is counted and not walked.  The twists
-come from a random.Random seeded by the order's discriminant and the
-ideal's HNF, one stream per ideal.  Every candidate is judged purely in
-integers: the norm is the tower norm above, and the containment
-witness is re-derived by back-substitution against the HNF
-rows.  Floating-point embeddings, plain `math` floats built inside
-`certify_principal`, only steer the search.  A band on the approximate
-norm pre-screens candidates, and a float lower bound on that norm lets
-whole leaf rows of the walk be counted unscanned.  In the twisted tries
-the floats also choose the reduced basis: the twisted conjugates are
-rounded to integers before LLL.  None of this carries a proven error
-bound, and it can cost a candidate but never a wrong answer, because
-every accept is exact.  The generator found is deterministic on one
-machine; with another libm's exp or cos it could differ.
+The generator search is lattice business.  An ideal I of L extended to
+M is a full-rank sublattice in Hermite normal form, and it is also
+I (x) O_F, with the tensor basis b f: b0, b1 the Lagrange-Gauss
+reduced basis of I under T2, f in 1, eta_1..eta_{e-1}.  That basis is
+already nearly reduced, so its Gram matrix under the trace form (the
+T2 quadratic form, M is totally real) is what all-integer LLL reduces,
+which returns its transform and the integral Gram-Schmidt data of the
+reduced basis, and the lattice is walked twice in the reduced basis,
+at a T2 radius^2 and at 2^(2/2e) times it, a ball of about twice the
+lattice points, since point counts grow as the 2e-th power of the
+radius.  A generator whose T2 lies past the second radius is left to
+the twisted tries below.  A walk reads only Gram-Schmidt data, never a
+Gram matrix, and no reduced Gram matrix is formed.  The ideal comes
+from L, so Gal(M/L) = <tau> fixes it, and tau and -1 keep T2 and |N|:
+when F is cubic the two walks run instead in the tensor basis b0, b1,
+b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2 itself, the orbit basis, take
+one vector of each orbit of six (of two in the plane of I) and expand
+what they keep.  Every other walk, each twisted try included, covers
+half the ball, the vectors whose last nonzero coordinate is positive,
+and mirrors what it keeps: y and -y have the same |N|, and the floats
+that judge -y are exactly those of y negated.  Each walk has a visit
+budget and stops when it is spent.  It tests the exact norm of each
+vector the band keeps as it meets it, and after a hit its ball shrinks
+to that hit's form, ties kept (Schnorr and Euchner), so the rest of
+the walk still meets every generator that ranks no worse.  The hits
+are ranked afterwards by the walk's form and then by the element
+itself in order coordinates, so neither the order of the walk nor its
+basis changes the generator.  A generator need not be short in T2: its
+conjugates can be far from balanced.  So the search goes on with
+seeded twisted tries, the Arakelov form of Buchmann's principal-ideal
+method: the lattice is walked under the trace form twisted by
+exp(2 s_j) on the j-th embedding, with s random in the trace-zero
+hyperplane, which rebalances a generator whose log-conjugates lie
+along s.  Each try twists the LLL-reduced basis, not the HNF rows, so
+its LLL starts nearer a reduced basis and makes fewer swaps.  A try
+whose Gram-Schmidt norms all exceed its radius has an empty ball; it
+is counted and not walked.  The twists come from a random.Random
+seeded by the order's discriminant and the ideal's HNF, one stream per
+ideal.  Every candidate is judged purely in integers: the norm is the
+tower norm above, and the containment witness is re-derived by
+back-substitution against the HNF rows.  Floating-point embeddings,
+plain `math` floats built inside `certify_principal`, only steer the
+search.  A band on the approximate norm pre-screens candidates, and a
+float lower bound on that norm lets whole leaf rows of the walk be
+counted unscanned.  In the twisted tries the floats also choose the
+reduced basis: the twisted conjugates are rounded to integers before
+LLL.  None of this carries a proven error bound, and it can cost a
+candidate but never a wrong answer, because every accept is exact.
+The generator found is deterministic on one machine; with another
+libm's exp or cos it could differ.
 """
 
 from __future__ import annotations
@@ -362,8 +364,8 @@ def _enumerate_short(gso, radius_sq, cap, filt, pairs=0, accept=None):
     path negates every float of it exactly, so the band test and the
     row bound decide alike for y and -y.  With pairs = k > 0 the basis
     is b_0..b_{k-1} followed by the pairs (b_j eta_1, b_j eta_2), j < k,
-    with eta_1, eta_2 periods of a cubic F (the orbit basis of
-    `_orbit_basis`, n = 3k).  The generator tau of Gal(M/L) fixes each
+    with eta_1, eta_2 periods of a cubic F (the tensor basis of
+    `_tensor_basis`, n = 3k).  The generator tau of Gal(M/L) fixes each
     b_j and maps the pair's coefficients (a, c) to (-c, a - c), moving
     c b_j into b_j's own coordinate: a cube root of unity zeta acting
     on Z[zeta].  Each pair is a block with the six units +-zeta^i and
@@ -590,26 +592,24 @@ def _band_rows(emb, basis):
     ]
 
 
-def _orbit_basis(order: CompositumOrder, hnf):
-    """The orbit basis of the ideal lattice for the untwisted walks, or
-    None when F is not cubic (then the walks keep the half walk).
+def _tensor_basis(order: CompositumOrder, hnf):
+    """The tensor basis of the ideal lattice: the one LLL reduction of
+    a search starts from it, and the orbit walk walks it.
 
-    Lambda = I.O_M is I (x) O_F, and O_F = Z + Z eta_1 + Z eta_2, so with
-    I = Z b0 + Z b1 the rows b0, b1, b0 eta_1, b0 eta_2, b1 eta_1,
-    b1 eta_2 are a basis on which tau acts as `_enumerate_short` needs
-    (pairs = 2).  An element of L has coordinates constant on each half,
-    (c, c, c, d, d, d), which is -(c + d w) since the periods sum to -1,
-    so b eta_i has -c at i and -d at e + i.  I = Tr_{M/L}(Lambda) has
-    the (c, d) of the traces (sum x[:e], sum x[e:]) of the HNF rows.  b0
-    and b1 are their HNF, Lagrange-Gauss reduced under the trace form of
-    L, which is T2 on M divided by e, so T2(b0) <= T2(b1) <=
-    T2(b1 +- b0).  The trace form of M is that of L times that of F, so
-    the rows b f, b' f' with f, f' in (1, eta_1, eta_2) have Gram entry
-    Tr_L(b b') Tr_F(f f').  Returns (gram, rows): the rows' trace-form
-    Gram and the rows in order coordinates."""
+    Lambda = I.O_M is I (x) O_F, and O_F = Z + Z eta_1 + ... + Z eta_{e-1},
+    so with I = Z b0 + Z b1 the rows b0, b1, b0 eta_1..b0 eta_{e-1},
+    b1 eta_1..b1 eta_{e-1} are a basis of Lambda.  An element of L has
+    coordinates constant on each half, (c, .., c, d, .., d), which is
+    -(c + d w) since the periods sum to -1, so b eta_i has -c at i and -d
+    at e + i.  I = Tr_{M/L}(Lambda) has the (c, d) of the traces
+    (sum x[:e], sum x[e:]) of the HNF rows.  b0 and b1 are their HNF,
+    Lagrange-Gauss reduced under the trace form of L, which is T2 on M
+    divided by e, so T2(b0) <= T2(b1) <= T2(b1 +- b0).  The trace form
+    of M is that of L times that of F, so the rows b f, b' f' with f, f'
+    in (1, eta_1, .., eta_{e-1}) have Gram entry Tr_L(b b') Tr_F(f f'):
+    no product of M is formed.  Returns (gram, rows): the rows'
+    trace-form Gram and the rows in order coordinates."""
     e = order.F.e
-    if e != 3:
-        return None
     s, nw = order.L.s, order.L.norm_omega()
     g11 = s * s - 2 * nw
 
@@ -627,19 +627,33 @@ def _orbit_basis(order: CompositumOrder, hnf):
         if tr_l(b1, b1) >= g0:
             break
         b0, b1 = b1, b0
-    # row r is bs[r] times f = (1, eta_1, eta_2)[fs[r]]
-    bs, fs = (b0, b1, b0, b0, b1, b1), (0, 0, 1, 2, 1, 2)
+    # row r is bs[r] times f = (1, eta_1, .., eta_{e-1})[fs[r]]
+    bs = (b0, b1) + (b0,) * (e - 1) + (b1,) * (e - 1)
+    fs = (0, 0) + tuple(range(1, e)) * 2
     rows = [[c] * e + [d] * e for c, d in (b0, b1)]
     for b, i in zip(bs[2:], fs[2:]):
         row = [0] * (2 * e)
         row[i], row[e + i] = -b[0], -b[1]
         rows.append(row)
-    gram_f = order.F.trace_gram()
-    tr_f = [[e, -1, -1], [-1, *gram_f[1][1:]], [-1, *gram_f[2][1:]]]
+    # Tr_F(1) = e and Tr_F(eta_i) = -1
+    tr_f = [[e] + [-1] * (e - 1)] + [[-1, *r[1:]] for r in order.F.trace_gram()[1:]]
     gram = [
-        [tr_l(bs[r], bs[t]) * tr_f[fs[r]][fs[t]] for t in range(6)] for r in range(6)
+        [tr_l(bs[r], bs[t]) * tr_f[fs[r]][fs[t]] for t in range(2 * e)]
+        for r in range(2 * e)
     ]
     return gram, rows
+
+
+def _orbit_basis(order: CompositumOrder, tensor):
+    """The basis of the untwisted walks' orbit walk: the tensor basis
+    (gram, rows) of `_tensor_basis` when F is cubic, else None (then the
+    walks keep the half walk in the reduced basis).
+
+    For e = 3 the rows are b0, b1, b0 eta_1, b0 eta_2, b1 eta_1,
+    b1 eta_2, on which tau acts as `_enumerate_short` needs (pairs = 2);
+    for larger e the blocks would be Z[zeta_e]-modules, which the walk
+    does not take."""
+    return tensor if order.F.e == 3 else None
 
 
 def _twist(rng: random.Random, n: int) -> list:
@@ -676,9 +690,10 @@ def certify_principal(
 ):
     """Search for a generator of the ideal lattice.
 
-    First LLL-reduce the ideal's trace-form Gram matrix and walk it at
-    the two T2 radii of schedule.untwisted_radii, the second about twice
-    the lattice points of the first, in the orbit basis of
+    First LLL-reduce the trace-form Gram of the tensor basis of
+    `_tensor_basis`, which needs few exchanges or none, and walk the
+    lattice at the two T2 radii of schedule.untwisted_radii, the second
+    about twice the lattice points of the first, in the orbit basis of
     `_orbit_basis` when there is one, else in the reduced basis, each
     walk once and with a budget of WALK_VISITS visits.  A walk that
     spends its budget ends the search, capped.  Then run up to
@@ -759,12 +774,13 @@ def certify_principal(
             cert = _certificate(colex[::-1], nval, B, hnf, order)
         return cert, EnumerationRound(radius_sq, visited, len(kept), skipped), capped
 
-    # one reduction: the half walk's basis off the cubic case, and the
-    # basis every twisted try starts from
-    gram_i = [[_qform(order.gram, hnf[r], hnf[c]) for c in range(n)] for r in range(n)]
-    gso, U, lll_swaps = lll_reduce_gram(gram_i)
-    base = [_mat_vec(U[i], hnf) for i in range(n)]
-    orbit = _orbit_basis(order, hnf)
+    # one reduction, from the tensor basis, which is nearly reduced: the
+    # half walk's basis off the cubic case, and the basis every twisted
+    # try starts from
+    tensor = _tensor_basis(order, hnf)
+    gso, U, lll_swaps = lll_reduce_gram(tensor[0])
+    base = [_mat_vec(U[i], tensor[1]) for i in range(n)]
+    orbit = _orbit_basis(order, tensor)
     if orbit:
         gso, rows, pairs = gram_schmidt_int(orbit[0]), orbit[1], 2
     else:

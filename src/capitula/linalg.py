@@ -198,6 +198,14 @@ def lll_reduce_gram(gram: list[list[int]]):
     |mu_ij| <= 1/2 and the Lovasz condition with LLL_DELTA.  Its own
     output comes back unchanged, with U = 1 and no swap: size reduction
     leaves every mu_ij in [-1/2, 1/2), where rounding half up gives 0.
+
+    Each step size-reduces b_k against b_{k-1} only, and b_k is
+    size-reduced against the b_l with l < k - 1 once, after the last
+    exchange, where Cohen does it after every Lovasz test that passes.
+    The output is the same: reducing b_k against earlier vectors
+    changes neither d nor mu_{k,k-1} after its rounding against b_{k-1},
+    so the exchanges, which read only those, are the same, and the
+    fully size-reduced basis of a given flag of sublattices is unique.
     """
     n = len(gram)
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -205,16 +213,19 @@ def lll_reduce_gram(gram: list[list[int]]):
     num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
 
     def reduce(k, l):
-        # b_k <- b_k - q b_l with q the nearest integer to mu_kl
+        # b_k <- b_k - q b_l with q the nearest integer to mu_kl, rounded
+        # half up: q = 0 exactly when -d_l <= 2 lambda_kl < d_l
         dl = d[l + 1]
         lk = lam[k]
-        q = (2 * lk[l] + dl) // (2 * dl)
-        if q:
-            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-            ll = lam[l]
-            lk[l] -= q * dl
-            for i in range(l):
-                lk[i] -= q * ll[i]
+        t = 2 * lk[l]
+        if -dl <= t < dl:
+            return
+        q = (t + dl) // (2 * dl)
+        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        ll = lam[l]
+        lk[l] -= q * dl
+        for i in range(l):
+            lk[i] -= q * ll[i]
 
     k = 1
     swaps = 0
@@ -224,8 +235,6 @@ def lll_reduce_gram(gram: list[list[int]]):
         lm = lk[k - 1]
         dk = d[k]
         if den * (d[k + 1] * d[k - 1] + lm * lm) >= num * dk * dk:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
             k += 1
             continue
         # exchange b_{k-1} and b_k
@@ -242,4 +251,7 @@ def lll_reduce_gram(gram: list[list[int]]):
         d[k] = b
         swaps += 1
         k = max(k - 1, 1)
+    for k in range(2, n):
+        for l in range(k - 2, -1, -1):
+            reduce(k, l)
     return (d, lam), u, swaps

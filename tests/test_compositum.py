@@ -36,6 +36,7 @@ from capitula.compositum import (
     _orbit_basis,
     _qform,
     _solve_containment,
+    _tensor_basis,
     build_compositum,
     certify_principal,
     exact_norm,
@@ -326,6 +327,74 @@ def test_lll_transform_is_unimodular():
         assert lll_reduce_gram(red) == (gso, identity, 0)
 
 
+def reference_lll(gram):
+    """The eager all-integer LLL (Cohen, Alg. 2.6.7): b_k is size-reduced
+    against every b_l, l < k - 1, after each Lovasz test that passes."""
+    n = len(gram)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d, lam = gram_schmidt_int(gram)
+
+    def reduce(k, l):
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        if q:
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, swaps = 1, 0
+    while k < n:
+        reduce(k, k - 1)
+        lm = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + lm * lm) >= 99 * d[k] ** 2:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        u[k - 1], u[k] = u[k], u[k - 1]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (b * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = b
+        swaps += 1
+        k = max(k - 1, 1)
+    return (d, lam), u, swaps
+
+
+def test_lll_matches_the_eager_reference(monkeypatch):
+    # lll_reduce_gram size-reduces against b_l, l < k - 1, once after the
+    # last exchange; the exchanges, U and the Gram-Schmidt data are those
+    # of the eager algorithm, on random Grams of up to ~90-bit entries
+    # and on the twisted Grams of the 64 tries of d = 730
+    rng = random.Random(2027)
+    grams = []
+    for _ in range(400):
+        n, bits = rng.randint(2, 10), rng.randint(1, 44)
+        while True:
+            basis = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+                     for _ in range(n)]
+            if det_bareiss([row[:] for row in basis]):
+                break
+        grams.append([[sum(x * y for x, y in zip(r, c)) for c in basis] for r in basis])
+    order = order_of(730, 79, 3)
+    B = extend_ideal(prime_ideal_above(make_field(730), 79), order)
+    twisted = []
+
+    def record(gram):
+        twisted.append([row[:] for row in gram])
+        return lll_reduce_gram(gram)
+
+    monkeypatch.setattr(compositum, "lll_reduce_gram", record)
+    assert certify_principal(B, order, RadiusSchedule(max_doublings=2))[1].tries == 64
+    assert len(twisted) == 1 + 64
+    for gram in grams + twisted[1:]:
+        assert lll_reduce_gram([row[:] for row in gram]) == reference_lll(gram)
+
+
 def test_iroot_brute():
     for k in (2, 3, 6):
         for x in list(range(70)) + [10**12 + 7, 3**40]:
@@ -347,7 +416,7 @@ def test_certify_unit_ideal():
     # found in the first walk, after the one untwisted reduction
     assert search.tries == 0
     assert len(search.rounds) == 1
-    assert search.lll_swaps == 4
+    assert search.lll_swaps == 2
     assert search.capped is False
 
 
@@ -460,10 +529,10 @@ def test_not_found_is_inconclusive_and_reported(monkeypatch):
     assert not full.capped
     assert full.tries == 16
     assert full.enumerated == 2890
-    # swaps: 6 in the untwisted reduction (the capped run's only one),
-    # the rest in the 16 twisted ones
-    assert out.lll_swaps == 6
-    assert full.lll_swaps == 627
+    # swaps: none in the untwisted reduction (the capped run's only one),
+    # whose tensor basis is already reduced, all in the 16 twisted ones
+    assert out.lll_swaps == 0
+    assert full.lll_swaps == 674
     # both untwisted walks, pinned: radius base and floor(2^(1/3) base),
     # visits, band-kept and rows counted unscanned
     assert full.rounds == (
@@ -495,7 +564,7 @@ def test_certificate_of_985_is_pinned():
         EnumerationRound(64195, 16530, 6, 2602),
     )
     assert search.enumerated == sum(r.visited for r in search.rounds) == 25298
-    assert search.lll_swaps == 22
+    assert search.lll_swaps == 0
 
 
 @pytest.mark.parametrize(
@@ -519,13 +588,14 @@ def test_twisted_try_certificates_are_pinned(d, alpha, tries):
 
 def _untwisted(d, q, e=3):
     """The ideal of the prime above q and its untwisted LLL reduction,
-    as certify_principal builds them: the reduced rows and their
-    Gram-Schmidt data."""
+    as certify_principal builds them from the tensor basis: the reduced
+    rows and their Gram-Schmidt data."""
     order = order_of(d, q, e)
     B = extend_ideal(prime_ideal_above(make_field(d), q), order)
     hnf = [list(r) for r in B.hnf]
-    gso, U, _ = lll_reduce_gram([[_qform(order.gram, r, c) for c in hnf] for r in hnf])
-    base = [_mat_vec(u, hnf) for u in U]
+    gram, rows = _tensor_basis(order, hnf)
+    gso, U, _ = lll_reduce_gram(gram)
+    base = [_mat_vec(u, rows) for u in U]
     return order, B, hnf, base, gso
 
 
@@ -541,7 +611,7 @@ ORBIT_FIELDS = ((79, 7), (257, 13), (985, 19), (730, 79), (1171, 7))
 @pytest.mark.parametrize("d, q", ORBIT_FIELDS)
 def test_orbit_basis_of_the_ideal_lattice(d, q):
     order, B, hnf, base, gso = _untwisted(d, q)
-    gram, rows = _orbit_basis(order, hnf)
+    gram, rows = _tensor_basis(order, hnf)
     b0, b1 = rows[:2]
     # b0 and b1 are Lagrange-Gauss reduced under T2, and b0 is the
     # reduced basis's first row: both walks split the ball into the same
@@ -563,6 +633,42 @@ def test_orbit_basis_of_the_ideal_lattice(d, q):
         assert list(_orbit(unit[i], 2)[1]) == images[i]
 
 
+@pytest.mark.parametrize("d, q, e", [(79, 7, 3), (985, 19, 3), (401, 41, 5), (79, 199, 9)])
+def test_tensor_basis_of_the_ideal_lattice(d, q, e):
+    # b f for b in (b0, b1) and f in (1, eta_1, .., eta_{e-1}): every row
+    # lies in the ideal lattice, the Gram is their trace form, and its
+    # determinant is the lattice's own, disc(M) N^2, so they are a basis
+    order, B, hnf, *_ = _untwisted(d, q, e)
+    gram, rows = _tensor_basis(order, hnf)
+    assert all(_solve_containment(hnf, r) is not None for r in rows)
+    assert gram == [[_qform(order.gram, r, t) for t in rows] for r in rows]
+    assert det_bareiss(gram) == order.disc * B.norm**2
+    assert (gram, rows) == oracle_tensor_basis(order, hnf)
+
+
+@pytest.mark.parametrize("d, q, e, most", [
+    *((d, q, 3, 2) for d, q in ORBIT_FIELDS), (401, 41, 5, 0), (79, 199, 9, 0)
+])
+def test_untwisted_lll_starts_from_a_nearly_reduced_basis(d, q, e, most, monkeypatch):
+    # certify_principal's one untwisted LLL starts from the tensor basis,
+    # which needs at most `most` exchanges
+    order = order_of(d, q, e)
+    B = extend_ideal(prime_ideal_above(make_field(d), q), order)
+    swaps = []
+
+    class Stop(Exception):
+        pass
+
+    def first(gram):
+        swaps.append(lll_reduce_gram(gram)[2])
+        raise Stop
+
+    monkeypatch.setattr(compositum, "lll_reduce_gram", first)
+    with pytest.raises(Stop):
+        certify_principal(B, order)
+    assert swaps[0] <= most
+
+
 @pytest.mark.parametrize("d, q, pair_kept", [
     (79, 7, 36), (257, 13, 24), (985, 19, 6), (730, 79, 0), (1171, 7, 0)
 ])
@@ -572,7 +678,7 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     # pair_kept counts the kept vectors that tau moves, whose images
     # the walk adds itself
     order, B, hnf, base, gso = _untwisted(d, q)
-    gram, rows = _orbit_basis(order, hnf)
+    gram, rows = _tensor_basis(order, hnf)
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
     radii = RadiusSchedule().untwisted_radii(order.degree, order.disc * B.norm**2)
@@ -590,8 +696,8 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     assert moved == pair_kept
 
 
-def oracle_orbit_basis(order, hnf):
-    """The orbit basis built through the order: Lagrange-Gauss under T2
+def oracle_tensor_basis(order, hnf):
+    """The tensor basis built through the order: Lagrange-Gauss under T2
     on the whole order coordinates, the rows b eta_i as products, and
     the Gram from the trace form of M."""
     e, n = order.F.e, order.degree
@@ -605,7 +711,7 @@ def oracle_orbit_basis(order, hnf):
             break
         b0, b1 = b1, b0
     ident = [[int(j == i) for j in range(n)] for i in range(n)]
-    rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in (1, 2)]
+    rows = [b0, b1] + [order.mul(b, ident[i]) for b in (b0, b1) for i in range(1, e)]
     return [[_qform(order.gram, r, t) for t in rows] for r in rows], rows
 
 
@@ -622,13 +728,13 @@ def test_orbit_basis_matches_the_order_built_oracle(d, q):
     prime = prime_ideal_above(make_field(d), q)
     for ideal in (prime, prime.conjugate()):
         hnf = [list(r) for r in extend_ideal(ideal, order).hnf]
-        assert _orbit_basis(order, hnf) == oracle_orbit_basis(order, hnf)
+        assert _tensor_basis(order, hnf) == oracle_tensor_basis(order, hnf)
 
 
 def test_no_orbit_basis_off_the_cubic_case():
     # e = 5: the pairs would be Z[zeta_5]-blocks, so the half walk stays
     order, B, hnf, *_ = _untwisted(401, 41, 5)
-    assert _orbit_basis(order, hnf) is None
+    assert _orbit_basis(order, _tensor_basis(order, hnf)) is None
 
 
 @pytest.mark.parametrize("d, q", [(79, 7), (257, 13), (985, 19), (142, 7), (254, 7)])
@@ -640,14 +746,14 @@ def test_certificate_does_not_depend_on_the_walk_basis(d, q, monkeypatch):
     # visits of a round with a hit depend on where in the basis's walk
     # order the hit falls, so they are compared on the full balls
     order, B, hnf, base, gso = _untwisted(d, q)
-    gram, rows = _orbit_basis(order, hnf)
+    gram, rows = _tensor_basis(order, hnf)
     schedule = RadiusSchedule(max_doublings=2)
     results = []
     for _ in range(2):
         cert, search = certify_principal(B, order, schedule)
         results.append((cert, search.tries, search.lll_swaps,
                         [r.radius_sq for r in search.rounds]))
-        monkeypatch.setattr(compositum, "_orbit_basis", lambda order, hnf: None)
+        monkeypatch.setattr(compositum, "_orbit_basis", lambda order, tensor: None)
     assert isinstance(results[0][0], PrincipalityCertificate)
     assert results[1] == results[0]
     emb = _embeddings(order)
@@ -710,7 +816,7 @@ def test_tries_with_an_empty_ball_are_counted_and_not_walked(monkeypatch):
             EnumerationRound(943164, 9168, 0, 698),
             EnumerationRound(1188312, 18676, 0, 1252),
         ),
-        lll_swaps=2459,
+        lll_swaps=2490,
     )
     assert len(walks) == 2 + 28
 
@@ -997,7 +1103,7 @@ def test_enumerate_short_cap_at_every_position():
     # and the orbit walk of d = 79 at half its first untwisted radius,
     # with a band wide enough to keep vectors that tau moves
     order, B, hnf, *_ = _untwisted(79, 7)
-    gram, rows = _orbit_basis(order, hnf)
+    gram, rows = _tensor_basis(order, hnf)
     filt = (_band_rows(_embeddings(order), rows), B.norm, B.norm * 64.0)
     walks.append((gram, 2736, filt, 2))
     for gram, radius_sq, filt, pairs in walks:
