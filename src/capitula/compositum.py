@@ -29,7 +29,11 @@ from L, so Gal(M/L) = <tau> fixes it, and tau and -1 keep T2 and |N|:
 when F is cubic the two walks run instead in the tensor basis b0, b1,
 b0 eta_1, b0 eta_2, b1 eta_1, b1 eta_2 itself, the orbit basis, take
 one vector of each orbit of six (of two in the plane of I) and expand
-what they keep.  Every other walk, each twisted try included, covers
+what they keep.  Their two lowest levels add y1 b1 + y0 b0, an element
+of L, whose float conjugates are one per conjugate of L, three times
+over, so those levels run in closed form, six conjugates as locals,
+with every float the per-embedding loop's own: the same operands in
+the same order.  Every other walk, each twisted try included, covers
 half the ball, the vectors whose last nonzero coordinate is positive,
 and mirrors what it keeps: y and -y have the same |N|, and the floats
 that judge -y are exactly those of y negated.  Each walk has a visit
@@ -379,6 +383,21 @@ def _enumerate_short(gso, radius_sq, cap, filt, pairs=0, accept=None):
     expanded to its 6 or 2 images, so an uncapped walk keeps and counts
     what the full walk does.
 
+    In that basis levels 1 and 0 multiply b_1 and b_0, elements of L.
+    Embedding j of M restricts to one of the two conjugates of L, so
+    embeddings 0..2 send b_0 to one number and 3..5 to the other, and
+    their floats are equal too: each is a math.fsum of the same
+    products in another order (`_band_rows`).  So with pairs = 2 and
+    those floats equal, descend hands level 1 to walk_plane, which
+    walks levels 1 and 0 with the six conjugates of the path as locals
+    and writes the leaf product and the row bound out as 3 + 3
+    factors; the integer centres of both levels come from one pass over
+    y_2..y_5.  It computes every float from the same operands in
+    the same order as the loop over six embeddings, so every band,
+    row-skip, accept and cap decision, and thus all it returns, is the
+    loop's bit for bit.  Levels >= 2, and every walk without pairs, run
+    the loop.
+
     accept, when given, is called on each orbit representative v the
     band keeps, as accept(v, v G v^t); the form is exact, read off the
     budget the walk has left at v, and holds for every image of v too.
@@ -422,11 +441,102 @@ def _enumerate_short(gso, radius_sq, cap, filt, pairs=0, accept=None):
     # six are counted at a, none at c
     sizes = [2] * pairs + [6, 0] * pairs if pairs else [2] * n
     pair_a = [size == 6 for size in sizes]
+    # the orbit basis of a cubic F starts with b0, b1 in L, whose floats
+    # are one per conjugate of L, each three times, and the row bound
+    # divides by b0's: then walk_plane runs levels 1 and 0
+    plane = pairs == 2 and all(
+        col[0] == col[1] == col[2] and col[3] == col[4] == col[5] for col in fcol[:2]
+    ) and 0.0 not in (fc0[0], fc0[3])
+    if plane:
+        (x0a, x0b), (x1a, x1b) = fc0[2:4], fcol[1][2:4]
+        m0, m1, w0, w1 = d[1], d[2], weight[0], weight[1]
+        lam0, lam1 = lamcols[0], lamcols[1]
+
+    def walk_plane(budget, mult):
+        # descend(1, budget, mult) with its descend(0, ...) calls inlined
+        # for n = 6: the leaf is gamma + y_1 b1 + y_0 b0, whose conjugate j
+        # is fvals[j] + y_1 x1 + y_0 x0 with x0, x1 the floats of b0, b1 at
+        # the conjugate of L under j, x_a for j < 3, x_b above.  Every float
+        # takes the operands and the order of the loop form, so every
+        # decision is the loop's
+        nonlocal visited, capped, rows_skipped, cut
+        room = budget - cut
+        if room < 0:
+            return
+        c1 = c0 = 0
+        for t in range(2, 6):
+            yj = y[t]
+            if yj:
+                c1 -= lam1[t - 2] * yj
+                c0 -= lam0[t - 1] * yj
+        s = isqrt(room // w1)
+        lo1 = -((s - c1) // m1) if mult else 0
+        hi1 = (c1 + s) // m1
+        g0, g1, g2, g3, g4, g5 = fvals
+        above = tuple(y[2:])
+        for y1 in range(lo1, hi1 + 1):
+            z = y1 * m1 - c1
+            budget0 = budget - w1 * z * z
+            room = budget0 - cut
+            if room < 0:
+                continue
+            p, q = y1 * x1a, y1 * x1b
+            v0, v1, v2, v3, v4, v5 = g0 + p, g1 + p, g2 + p, g3 + q, g4 + q, g5 + q
+            mult0 = mult or (2 if y1 else 0)
+            c = c0 - lam0[0] * y1
+            s = isqrt(room // w0)
+            # the row through the zero vector starts at y_0 = 1
+            lo = -((s - c) // m0) if mult0 else 1
+            hi = (c + s) // m0
+            row = hi - lo + 1
+            if mult0 and 0 < row and visited + row * mult0 < cap:
+                flo, fhi = float(lo), float(hi)
+                t0, t1, t2 = -v0 / x0a, -v1 / x0a, -v2 / x0a
+                t3, t4, t5 = -v3 / x0b, -v4 / x0b, -v5 / x0b
+                bound = (
+                    abs(v0 + round(flo if t0 < flo else fhi if t0 > fhi else t0) * x0a)
+                    * abs(v1 + round(flo if t1 < flo else fhi if t1 > fhi else t1) * x0a)
+                    * abs(v2 + round(flo if t2 < flo else fhi if t2 > fhi else t2) * x0a)
+                    * abs(v3 + round(flo if t3 < flo else fhi if t3 > fhi else t3) * x0b)
+                    * abs(v4 + round(flo if t4 < flo else fhi if t4 > fhi else t4) * x0b)
+                    * abs(v5 + round(flo if t5 < flo else fhi if t5 > fhi else t5) * x0b)
+                )
+                if bound > skip_above:
+                    visited += row * mult0
+                    rows_skipped += mult0
+                    continue
+            step = mult0 or 2
+            while lo <= hi:
+                for y0 in range(lo, hi + 1):
+                    visited += step
+                    p, q = y0 * x0a, y0 * x0b
+                    prod = (v0 + p) * (v1 + p) * (v2 + p) * (v3 + q) * (v4 + q) * (v5 + q)
+                    if band_lo <= abs(prod) <= band_hi:
+                        v = (y0, y1) + above
+                        kept.append(v)
+                        z = y0 * m0 - c
+                        left = budget0 - w0 * z * z
+                        if accept is not None and accept(v, radius_sq - left // scale):
+                            cut = left
+                            hi = (c + abs(z)) // m0
+                            if visited >= cap:
+                                capped = True
+                                return
+                            break
+                    if visited >= cap:
+                        capped = True
+                        return
+                else:
+                    break
+                lo = y0 + 1
 
     def descend(i, budget, mult):
         # budget = scale * (remaining T2) >= 0; mult: the multiplicity of
         # the orbit of the vectors below, 0 while every higher y is zero
         nonlocal visited, capped, rows_skipped, cut
+        if i == 1 and plane:
+            walk_plane(budget, mult)
+            return
         room = budget - cut
         if room < 0:
             # the ball shrank past this prefix after an accepted vector

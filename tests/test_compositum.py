@@ -669,6 +669,18 @@ def test_untwisted_lll_starts_from_a_nearly_reduced_basis(d, q, e, most, monkeyp
     assert swaps[0] <= most
 
 
+# the untwisted rounds of each search: (radius_sq, visited, kept,
+# rows_skipped).  730 and 1171 walk both balls with no hit, so every
+# band and row-skip decision of the orbit walk shows in their counts
+UNTWISTED_ROUNDS = {
+    79: [(5472, 4750, 18, 872)],
+    257: [(13836, 4668, 12, 780)],
+    985: [(50952, 8768, 0, 1514), (64195, 16530, 6, 2602)],
+    730: [(943164, 9168, 0, 698), (1188312, 18676, 0, 1252)],
+    1171: [(21048, 9500, 0, 1026), (26518, 18404, 0, 1626)],
+}
+
+
 @pytest.mark.parametrize("d, q, pair_kept", [
     (79, 7, 36), (257, 13, 24), (985, 19, 6), (730, 79, 0), (1171, 7, 0)
 ])
@@ -676,8 +688,10 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
     # same visits, same rows counted unscanned and the same kept set,
     # compared as elements of the order, at both untwisted radii;
     # pair_kept counts the kept vectors that tau moves, whose images
-    # the walk adds itself
+    # the walk adds itself.  The search's own untwisted rounds are pinned
     order, B, hnf, base, gso = _untwisted(d, q)
+    search = certify_principal(B, order, RadiusSchedule(max_doublings=0))[1]
+    assert search.rounds == tuple(EnumerationRound(*r) for r in UNTWISTED_ROUNDS[d])
     gram, rows = _tensor_basis(order, hnf)
     emb = _embeddings(order)
     band = (B.norm / 4.0, B.norm * 4.0)
@@ -694,6 +708,21 @@ def test_orbit_walk_matches_the_half_walk(d, q, pair_kept):
         )
         moved += sum(1 for x in orbit[0] if any(x[2:]))
     assert moved == pair_kept
+
+
+@pytest.mark.parametrize("d, q", ORBIT_FIELDS)
+def test_orbit_basis_rows_in_L_have_one_float_per_conjugate_of_L(d, q):
+    # b0 and b1 lie in L, so the three embeddings of M above a conjugate
+    # of L send each to one real number, and each float is an fsum of the
+    # same products in another order: the three floats are equal.  The
+    # orbit walk runs its levels 1 and 0, which multiply b1 and b0, in
+    # closed form with one float per conjugate of L, and that it decides
+    # bit for bit as the loop over six embeddings rests on this
+    order, B, hnf, *_ = _untwisted(d, q)
+    frows = _band_rows(_embeddings(order), _tensor_basis(order, hnf)[1])
+    for i in (0, 1):
+        assert frows[0][i] == frows[1][i] == frows[2][i]
+        assert frows[3][i] == frows[4][i] == frows[5][i]
 
 
 def oracle_tensor_basis(order, hnf):
